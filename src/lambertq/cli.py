@@ -10,7 +10,7 @@ failures (bracketing or tolerance, with the achieved residual printed).
 import argparse
 import sys
 
-from .errors import BracketError, DomainError, LambertQError, NoAnalyticFormError, ParamError
+from .errors import DomainError, LambertQError, NoAnalyticFormError, ParamError
 from .families import (
     cdf,
     family_ids,
@@ -20,6 +20,7 @@ from .families import (
     validate,
 )
 from .invert import numeric_quantile
+from .refsets import reference_specs
 from .sampling import SampleMethod, batch_to_csv, batch_to_json, ks_statistic, sample
 from .verify import default_grid, errata_report, report_to_csv, report_to_json, verify_family
 
@@ -135,16 +136,8 @@ def _cmd_sample(args, out):
 def _cmd_verify(args, out):
     grid = default_grid(args.grid_size)
     if args.family:
-        entries = []
-        from .refsets import reference_params
-
-        fam = family_info(args.family)
-        if fam.quantile is None:
-            entries.append(verify_family(validate(
-                args.family, **reference_params(args.family)[0]), grid))
-        else:
-            for params in reference_params(args.family):
-                entries.append(verify_family(validate(args.family, **params), grid))
+        family_info(args.family)  # an unknown id fails with the list of valid ones
+        entries = [verify_family(spec, grid) for spec in reference_specs(args.family)]
     else:
         entries = errata_report(grid)
     for e in entries:
@@ -204,9 +197,6 @@ def main(argv=None, out=None, err=None):
     except (ParamError, DomainError, NoAnalyticFormError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 2
-    except BracketError as exc:
-        err.write("numeric failure: %s\n" % exc)
-        return 3
     except LambertQError as exc:
         err.write("numeric failure: %s\n" % exc)
         return 3

@@ -1,10 +1,10 @@
 """Registry of 28 lifetime distribution families.
 
 Each family carries its survival function, parameter constraints,
-support, and -- where one exists -- a closed-form quantile.  Ten
-quantiles are elementary closed forms, fourteen involve the principal
-branch of the Lambert W function, and four families have no analytic
-inverse at all (callers use the numeric inverter for those).
+support, and -- where one exists -- a closed-form quantile.  Fourteen
+quantiles are elementary closed forms, ten involve the principal branch
+of the Lambert W function, and four families have no analytic inverse
+at all (callers use the numeric inverter for those).
 
 Six catalogued closed forms do not actually invert their own CDF (wrong
 prefactor, swapped symbols, survival function inverted instead of the
@@ -16,8 +16,8 @@ measures both and reports the discrepancy.
 
 Formulas are evaluated with ``log1p``/``expm1`` throughout so roundtrip
 residuals |F(Q(u)) - u| stay near machine precision across the u range,
-and every Lambert W argument is asserted nonnegative (principal branch,
-single-valued) in debug mode.
+and a Lambert W argument that is negative or NaN raises DomainError
+(the principal branch is single-valued only on [0, inf)).
 """
 
 import math
@@ -541,7 +541,8 @@ _register(Family(
 # Lambert-W families
 
 def _w0(arg):
-    assert np.all(arg >= 0.0), "lambert argument must be nonnegative"
+    if not np.all(arg >= 0.0):
+        raise DomainError("lambert argument must be nonnegative and not NaN")
     return w_principal(arg).value
 
 
@@ -1110,19 +1111,13 @@ def quantile(spec, u):
     catalogued form is wrong).  Families without an analytic inverse
     raise NoAnalyticFormError; use numeric_quantile for those.
     """
-    fam = family_info(spec.family)
-    if fam.quantile is None:
-        raise NoAnalyticFormError(
-            "%s has no analytic quantile; use numeric_quantile" % spec.family
-        )
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     v = np.atleast_1d(arr).astype(float)
-    _check_u_open(v, spec)
-    with np.errstate(all="ignore"):
-        t = fam.quantile(v, spec.params)
-    res = np.abs((1.0 - survival(spec, t)) - v)
-    path = QuantilePath.ANALYTIC_CORRECTED if fam.corrected else QuantilePath.ANALYTIC_VERIFIED
+    t = quantile_values(spec, v)
+    res = np.abs(cdf(spec, t) - v)
+    path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
+            else QuantilePath.ANALYTIC_VERIFIED)
     if scalar:
         return QuantileResult(float(t[0]), path, float(res[0]))
     return QuantileResult(t, path, res)
@@ -1131,7 +1126,7 @@ def quantile(spec, u):
 def quantile_values(spec, u):
     """Vectorized analytic quantile values without result metadata.
 
-    Fast path for the sampler; same preconditions as ``quantile``.
+    Same preconditions as ``quantile``; the sampler uses it directly.
     """
     fam = family_info(spec.family)
     if fam.quantile is None:

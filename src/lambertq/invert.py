@@ -22,6 +22,22 @@ _MAX_DOUBLINGS = 1000
 _MAX_BISECT = 220  # enough to exhaust double precision from any finite bracket
 
 
+def _doubling_walk(spec, u, start, anchor, short, side, hint=""):
+    """Per-element bracket edge: from start, double each edge's distance from
+    anchor while short(F(edge), u) says F has not yet reached u there."""
+    edge = np.full(u.shape[0], start)
+    need = short(cdf(spec, edge), u)
+    for _ in range(_MAX_DOUBLINGS):
+        if not need.any():
+            return edge
+        edge[need] = anchor + (edge[need] - anchor) * 2.0
+        need &= short(cdf(spec, edge), u)
+    raise BracketError(
+        "%s: no %s bracket for u up to %r after %d doublings%s"
+        % (spec.family, side, float(u[need].max()), _MAX_DOUBLINGS, hint)
+    )
+
+
 def _expand_bracket(spec, u):
     """Per-element bracket [lo_b, hi_b] with F(lo_b) <= u <= F(hi_b)."""
     lo, hi = spec.support
@@ -31,37 +47,16 @@ def _expand_bracket(spec, u):
         lo_b = np.full(n, float(lo))
     else:
         # two-sided support: walk the lower edge down from -1 by doubling
-        lo_b = np.full(n, -1.0)
-        need = cdf(spec, lo_b) > u
-        for _ in range(_MAX_DOUBLINGS):
-            if not need.any():
-                break
-            lo_b[need] *= 2.0
-            need &= cdf(spec, lo_b) > u
-        else:
-            raise BracketError(
-                "%s: no lower bracket for u up to %r after %d doublings"
-                % (spec.family, float(u[need].max()), _MAX_DOUBLINGS)
-            )
+        lo_b = _doubling_walk(spec, u, -1.0, 0.0, np.greater, "lower")
 
     if math.isfinite(hi):
         hi_b = np.full(n, float(hi))
     else:
         anchor = lo if math.isfinite(lo) else 0.0
-        step = max(1.0, abs(anchor))
-        hi_b = np.full(n, anchor + step)
-        need = cdf(spec, hi_b) < u
-        for _ in range(_MAX_DOUBLINGS):
-            if not need.any():
-                break
-            hi_b[need] = anchor + (hi_b[need] - anchor) * 2.0
-            need &= cdf(spec, hi_b) < u
-        else:
-            raise BracketError(
-                "%s: no upper bracket for u up to %r after %d doublings "
-                "(survival mass may remain at infinity)"
-                % (spec.family, float(u[need].max()), _MAX_DOUBLINGS)
-            )
+        hi_b = _doubling_walk(
+            spec, u, anchor + max(1.0, abs(anchor)), anchor, np.less, "upper",
+            " (survival mass may remain at infinity)",
+        )
 
     return lo_b, hi_b
 

@@ -6,7 +6,10 @@ only on (seed, i).  That makes streams bit-exact across platforms and
 runs, lets position ranges be handed to parallel workers without any
 shared state, and guarantees serial and parallel sampling produce the
 identical batch.  Each 64-bit word maps to a double via its top 53 bits
-as ((k >> 11) + 0.5) * 2**-53, which lands strictly inside (0, 1).
+as ((k >> 11) + 0.5) * 2**-53, which is never 0.  The one word with
+k >> 11 = 2**53 - 1 rounds to exactly 1.0 there; it is clamped to
+1 - 2**-53, the largest double below 1, so every uniform lies strictly
+inside (0, 1).
 
 Samples are quantiles of those uniforms: the analytic closed form where
 one exists, or certified numeric CDF inversion otherwise.
@@ -41,6 +44,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 1 << 64
+_U_TOP = 1.0 - 2.0 ** -53  # largest double below 1
 
 
 def _mix64(z):
@@ -66,7 +70,8 @@ def counter_words(seed, start, n):
 def counter_uniforms(seed, start, n):
     """Uniforms in (0, 1) at absolute stream positions start .. start+n-1."""
     k = counter_words(seed, start, n)
-    return ((k >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u = ((k >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, _U_TOP, out=u)
 
 
 @dataclass

@@ -71,11 +71,8 @@ def _printed_max_error(spec, grid):
     fam = family_info(spec.family)
     printed = fam.printed_quantile if fam.printed_quantile is not None else fam.quantile
     with np.errstate(all="ignore"):
-        t = np.asarray(printed(grid, spec.params), dtype=float)
-        if t.ndim == 2:
-            res = np.abs(cdf(spec, t) - grid[np.newaxis, :]).min(axis=0)
-        else:
-            res = np.abs(cdf(spec, t) - grid)
+        t = np.atleast_2d(np.asarray(printed(grid, spec.params), dtype=float))
+        res = np.abs(cdf(spec, t) - grid).min(axis=0)
     res = np.where(np.isfinite(res), res, np.inf)
     return float(res.max())
 
@@ -110,31 +107,14 @@ def verify_family(spec, grid=None):
 def errata_report(grid=None):
     """One ErrataEntry per family, aggregated over its reference parameter sets.
 
-    The printed-formula error reported for a family is the worst error
-    across all of its reference sets, so a formula that only fails on
-    some parameter regimes is still flagged.
+    Each family's entry is its ``verify_family`` entry with the worst
+    printed-formula error across all of its reference sets, so a formula
+    that only fails on some parameter regimes is still flagged.
     """
-    if grid is None:
-        grid = default_grid()
     entries = []
     for name in family_ids():
-        fam = family_info(name)
-        if fam.quantile is None:
-            entries.append(ErrataEntry(name, Verdict.NO_CLOSED_FORM, None, fam.note))
-            continue
-        worst = -np.inf
-        for params in reference_params(name):
-            spec = validate(name, **params)
-            worst = max(worst, _printed_max_error(spec, grid))
-        if worst <= _PASS_TOL:
-            entries.append(ErrataEntry(
-                name,
-                Verdict.VERIFIED_AS_PRINTED,
-                worst,
-                fam.note or "printed closed form inverts the CDF on the verification grid",
-            ))
-        else:
-            entries.append(ErrataEntry(name, Verdict.CORRECTED_FORMULA, worst, fam.note))
+        per_set = [verify_family(validate(name, **p), grid) for p in reference_params(name)]
+        entries.append(max(per_set, key=lambda e: e.max_roundtrip_error_printed or 0.0))
     return entries
 
 

@@ -104,8 +104,10 @@ def splitmix64_reference(seed, n):
 
 
 def uniform_reference(seed, n):
-    """Uniforms implied by the reference words: ((w >> 11) + 0.5) * 2**-53."""
-    return [((w >> 11) + 0.5) * 2.0 ** -53 for w in splitmix64_reference(seed, n)]
+    """Uniforms implied by the reference words: ((w >> 11) + 0.5) * 2**-53,
+    clamped to 1 - 2**-53 where that rounds to 1."""
+    return [min(((w >> 11) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+            for w in splitmix64_reference(seed, n)]
 
 
 # ---------------------------------------------------------------------------

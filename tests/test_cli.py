@@ -69,6 +69,16 @@ def test_sample_csv_deterministic():
     assert all(float(s) > 0 for s in lines[1:])
 
 
+def test_sample_at_the_top_uniform():
+    # this seed's first word maps to the largest uniform below 1
+    code, out, err = run_cli(
+        "sample", "--family", "weibull2", "--param", "a=1", "--param", "b=1",
+        "--n", "1", "--seed", "3558559446808474027",
+    )
+    assert code == 0, err
+    assert float(out.splitlines()[1]) > 36.0  # -ln(2**-53) = 36.7
+
+
 def test_sample_json_schema():
     code, out, _ = run_cli(
         "sample", "--family", "xie_lai3", "--param", "a=1", "--param", "b=2",
@@ -101,6 +111,14 @@ def test_verify_single_family():
     lines = out.strip().splitlines()
     assert len(lines) == 3  # one line per reference parameter set
     assert all("CorrectedFormula" in line for line in lines)
+
+
+def test_verify_numeric_only_family_prints_every_reference_set():
+    code, out, _ = run_cli("verify", "--family", "xie_lai3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert all("NoClosedForm" in line for line in lines)
 
 
 def test_verify_all_families():

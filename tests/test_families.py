@@ -3,11 +3,15 @@ analytic quantiles, support handling, and the tilted-Weibull hazard."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import bisect
 
+import lambertq
 from lambertq import (
     DomainError,
     HazardShape,
@@ -26,7 +30,7 @@ from lambertq import (
     validate,
     wl_hazard,
 )
-from lambertq.families import has_analytic_quantile
+from lambertq.families import _w0, has_analytic_quantile
 
 NUMERIC_ONLY = {"additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3"}
 
@@ -345,6 +349,31 @@ def test_gen_weibull_support_upper_bound():
     assert hi == pytest.approx((2.0 * 0.25) ** (-1.0 / 3.0), rel=1e-15)
     assert survival(spec, hi * (1.0 - 1e-9)) < 1e-2
     assert survival(spec, hi) == 0.0
+
+
+@pytest.mark.parametrize("arg", [math.nan, -0.1, -1e-300])
+def test_lambert_argument_must_be_nonnegative(arg):
+    with pytest.raises(DomainError):
+        _w0(np.array([0.5, arg]))
+
+
+def test_lambert_argument_check_survives_optimize_flag():
+    # python -O strips assert statements; W(-0.1) itself would succeed
+    code = (
+        "import numpy as np\n"
+        "from lambertq import DomainError\n"
+        "from lambertq.families import _w0\n"
+        "try:\n"
+        "    _w0(np.array([-0.1]))\n"
+        "except DomainError:\n"
+        "    print('DomainError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(lambertq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "DomainError\n"
 
 
 # ---------------------------------------------------------------------------

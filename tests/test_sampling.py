@@ -55,6 +55,13 @@ def test_uniforms_strictly_inside_unit_interval():
     assert abs(u.mean() - 0.5) < 0.005
 
 
+def test_top_word_is_clamped_below_one():
+    # the one word with k >> 11 = 2**53 - 1 rounds to exactly 1.0 unclamped
+    seed = 3558559446808474027
+    assert int(counter_words(seed, 0, 1)[0]) >> 11 == 2**53 - 1
+    assert counter_uniforms(seed, 0, 1)[0] == 1 - 2**-53
+
+
 def test_stream_advances_position():
     s = SeededStream(seed=5)
     a = s.uniforms(10)

@@ -14,10 +14,11 @@ the verification harness) and a corrected derivation (``quantile``,
 used for evaluation).  The two are never silently merged; the harness
 measures both and reports the discrepancy.
 
-Formulas are evaluated with ``log1p``/``expm1`` throughout so roundtrip
-residuals |F(Q(u)) - u| stay near machine precision across the u range,
-and a Lambert W argument that is negative or NaN raises DomainError
-(the principal branch is single-valued only on [0, inf)).
+Formulas are evaluated with ``log1p``/``expm1`` throughout, and a term
+1 - u^r that is only ever logged is carried as ln(1 - u^r) (``_log1mexp``),
+so roundtrip residuals |F(Q(u)) - u| stay near machine precision across
+the u range, and a Lambert W argument that is negative or NaN raises
+DomainError (the principal branch is single-valued only on [0, inf)).
 """
 
 import math
@@ -95,9 +96,9 @@ def _L(u):
     return -np.log1p(-u)
 
 
-def _pow1m(u, r):
-    """1 - u**r, accurate when u**r is close to 1."""
-    return -np.expm1(np.log(u) * r)
+def _log1mexp(x):
+    """ln(1 - exp(x)) for x < 0, accurate at both ends (Maechler 2012)."""
+    return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
 # --------------------------------------------------------------------------
@@ -291,8 +292,8 @@ def _sf_exp_weibull(t, p):
 
 
 def _q_exp_weibull(u, p):
-    inner = _pow1m(u, 1.0 / p["c"])  # 1 - u^(1/c)
-    return (-np.log(inner) / p["a"]) ** (1.0 / p["b"])
+    log_inner = _log1mexp(np.log(u) / p["c"])  # ln(1 - u^(1/c))
+    return (-log_inner / p["a"]) ** (1.0 / p["b"])
 
 
 _register(Family(
@@ -345,8 +346,8 @@ def _sf_exp_inv_weibull(t, p):
 
 
 def _q_exp_inv_weibull(u, p):
-    inner = -np.expm1(np.log1p(-u) / p["b"])  # 1 - (1-u)^(1/b)
-    return (p["a"] / -np.log(inner)) ** (1.0 / p["c"])
+    log_inner = _log1mexp(np.log1p(-u) / p["b"])  # ln(1 - (1-u)^(1/b))
+    return (p["a"] / -log_inner) ** (1.0 / p["c"])
 
 
 _register(Family(
@@ -501,21 +502,21 @@ def _sf_exp_kum_weibull5(t, p):
     return -np.expm1(p["c"] * np.log(inner))     # 1 - inner^c
 
 
-def _ekw5_chain(s1, p):
+def _ekw5_chain(log_s1, p):
     # shared tail of the inversion: s1 = 1 - (outer power of the probability)
-    s2 = -np.expm1(np.log(s1) / p["b"])           # 1 - s1^(1/b)
-    s3 = np.exp(np.log(s2) / p["a"])              # s2^(1/a)
-    return (-np.log1p(-s3) / p["d"]) ** (1.0 / p["e"])
+    log_s2 = _log1mexp(log_s1 / p["b"])           # ln(1 - s1^(1/b))
+    log_s3 = _log1mexp(log_s2 / p["a"])           # ln(1 - s2^(1/a))
+    return (-log_s3 / p["d"]) ** (1.0 / p["e"])
 
 
 def _q_exp_kum_weibull5(u, p):
-    return _ekw5_chain(_pow1m(u, 1.0 / p["c"]), p)          # 1 - u^(1/c)
+    return _ekw5_chain(_log1mexp(np.log(u) / p["c"]), p)     # ln(1 - u^(1/c))
 
 
 def _q_exp_kum_weibull5_printed(u, p):
     # catalogued form starts from (1-u)^(1/c): it inverts the survival
     # function, i.e. F(t(u)) = 1 - u instead of u
-    return _ekw5_chain(-np.expm1(np.log1p(-u) / p["c"]), p)  # 1 - (1-u)^(1/c)
+    return _ekw5_chain(_log1mexp(np.log1p(-u) / p["c"]), p)  # ln(1 - (1-u)^(1/c))
 
 
 _register(Family(
@@ -645,7 +646,7 @@ def _sf_gen_mod_weibull(t, p):
 
 def _q_gen_mod_weibull(u, p):
     b, c = p["b"], p["c"]
-    base = -np.log(_pow1m(u, 1.0 / p["d"]))       # -ln(1 - u^(1/d))
+    base = -_log1mexp(np.log(u) / p["d"])         # -ln(1 - u^(1/d))
     arg = (b / c) * (base / p["a"]) ** (1.0 / c)
     return (c / b) * _w0(arg)
 
@@ -761,9 +762,9 @@ def _sf_kum_mod_weibull(t, p):
 
 def _q_kum_mod_weibull(u, p):
     d, mu = p["d"], p["mu"]
-    r1 = -np.expm1(np.log1p(-u) / p["b"])          # 1 - (1-u)^(1/b)
-    r2 = np.exp(np.log(r1) / p["a"])               # r1^(1/a)
-    base = (-np.log1p(-r2) / p["c"]) ** (1.0 / d)
+    log_r1 = _log1mexp(np.log1p(-u) / p["b"])      # ln(1 - (1-u)^(1/b))
+    log_r2 = _log1mexp(log_r1 / p["a"])            # ln(1 - r1^(1/a))
+    base = (-log_r2 / p["c"]) ** (1.0 / d)
     arg = (mu / d) * base
     return (d / mu) * _w0(arg)
 

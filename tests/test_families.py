@@ -351,6 +351,26 @@ def test_gen_weibull_support_upper_bound():
     assert survival(spec, hi) == 0.0
 
 
+@pytest.mark.parametrize("family,params,u", [
+    ("exp_weibull", {"a": 2.0, "b": 0.8, "c": 0.5}, 3e-9),
+    ("exp_kum_weibull5", {"a": 0.7, "b": 2.0, "c": 0.5, "d": 2.0, "e": 0.8}, 3e-9),
+    ("gen_mod_weibull", {"a": 2.0, "b": 1.0, "c": 0.5, "d": 0.7}, 1e-12),
+    ("exp_inv_weibull", {"a": 2.0, "b": 0.5, "c": 2.0}, 1.0 - 3e-9),
+    ("exp_inv_weibull", {"a": 2.0, "b": 0.5, "c": 2.0}, 1.0 - 1e-12),
+    ("exp_inv_weibull", {"a": 2.0, "b": 0.5, "c": 2.0}, 1.0 - 2.0 ** -53),
+    ("kum_mod_weibull", {"a": 2.0, "b": 0.7, "c": 0.5, "d": 2.0, "mu": 2.0}, 1.0 - 1e-12),
+    ("kum_mod_weibull", {"a": 2.0, "b": 0.7, "c": 0.5, "d": 2.0, "mu": 2.0}, 1.0 - 2.0 ** -53),
+])
+def test_closed_form_tails_stay_finite_and_roundtrip(family, params, u):
+    # 1 - u^(1/c) and 1 - (1-u)^(1/b) round to 0 or 1 in these tails; the
+    # formulas must carry them as logarithms instead
+    spec = validate(family, **params)
+    t = quantile(spec, u).t
+    lo, hi = spec.support
+    assert math.isfinite(t) and lo < t < hi
+    assert abs(cdf(spec, t) - u) <= 1e-12
+
+
 @pytest.mark.parametrize("arg", [math.nan, -0.1, -1e-300])
 def test_lambert_argument_must_be_nonnegative(arg):
     with pytest.raises(DomainError):

@@ -155,11 +155,16 @@ def test_lower_matches_bisection_oracle():
 
 
 def test_lower_identity_and_range():
-    x = -np.geomspace(1e-12, 1.0 / E - 1e-9, 5000)
+    x = -np.geomspace(1e-300, 1.0 / E - 1e-9, 5000)
     res = w_lower(x)
     assert np.all(res.value <= -1.0)
     rel = np.abs(res.value * np.exp(res.value) - x) / np.maximum(np.abs(x), 1.0)
     assert rel.max() <= 1e-12
+    # w*e^w underflows with x, so the check above cannot see errors at tiny
+    # |x|; the log form ln(-w) + w = ln(-x) is relative at every scale
+    log_x = np.log(-x)
+    log_rel = np.abs(np.log(-res.value) + res.value - log_x) / np.maximum(np.abs(log_x), 1.0)
+    assert log_rel.max() <= 1e-14
 
 
 def test_lower_monotone_decreasing():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import splitmix64_reference, uniform_reference
+from conftest import quad, splitmix64_reference, uniform_reference
 
 from lambertq import (
     ALGORITHM_ID,
@@ -17,10 +17,13 @@ from lambertq import (
     SeededStream,
     batch_to_csv,
     batch_to_json,
+    cdf,
     counter_uniforms,
     empirical_moments,
     ks_statistic,
+    reference_params,
     sample,
+    survival,
     validate,
 )
 from lambertq.sampling import counter_words
@@ -140,6 +143,48 @@ def test_sample_mean_of_unit_exponential():
     spec = validate("weibull2", a=1.0, b=1.0)
     batch = sample(spec, 100000, seed=7)
     assert abs(batch.values.mean() - 1.0) < 0.02
+
+
+# One reference set per Lambert-W family (index into reference_params).
+# inv_mod_weibull has SF ~ (a/t)^b, so none of its sets has a finite
+# variance; its draws are compared through 1/X, whose SF is cdf(1/s).
+LAMBERT_W_SETS = [
+    ("lai_weibull3", 1),
+    ("inv_mod_weibull", 1),
+    ("gen_mod_weibull", 2),
+    ("shifted_mod_weibull", 1),
+    ("kum_mod_weibull", 2),
+    ("mod_log_logistic", 1),
+    ("gompertz_makeham", 2),
+    ("mod_power_lomax", 2),
+    ("mod_pareto4", 1),
+    ("mod_lognormal", 2),
+]
+
+
+@pytest.mark.parametrize("family,index", LAMBERT_W_SETS)
+def test_lambert_w_sample_mean_matches_integrated_survival(family, index):
+    # independent evidence for the family, unlike a KS test of sample(spec)
+    # against the same spec: E[X] = lo + integral of SF from lo, by the
+    # conftest quadrature, which shares no code with the quantile formula
+    spec = validate(family, **reference_params(family)[index])
+    values = sample(spec, 100000, seed=11).values
+    lo, hi = spec.support
+    if family == "inv_mod_weibull":
+        values = 1.0 / values
+        lo, hi = 0.0, math.inf
+
+        def sf(s):
+            return cdf(spec, 1.0 / s) if s > 0.0 else 1.0
+    else:
+        def sf(t):
+            return survival(spec, t)
+    top = lo + 1.0
+    while top < hi and sf(top) > 1e-17:
+        top = lo + 2.0 * (top - lo)
+    mean = lo + quad(sf, lo, min(top, hi), tol=1e-10)
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    assert abs(values.mean() - mean) <= 5.0 * se
 
 
 def test_sample_requires_positive_n():

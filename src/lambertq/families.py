@@ -854,9 +854,17 @@ def _gm_w(u, p):
 
 
 def _q_gompertz_makeham(u, p):
-    # final catalogued form: t = (1/c) ln[(a/b) W(A)]
+    # final catalogued form: t = (1/c) ln[(a/b) W(A)].  Its outer log cancels
+    # where c t is small; there one Newton step on a t + (b/c) expm1(c t) = L(u)
+    # from t0 = L(u)/(a + b) is exact to about (c t)^3/8 relative
     a, b, c = p["a"], p["b"], p["c"]
-    return (np.log(_gm_w(u, p)) + math.log(a / b)) / c
+    t = np.asarray((np.log(_gm_w(u, p)) + math.log(a / b)) / c)
+    small = c * t < 1e-4
+    if small.any():
+        l_u = _L(np.asarray(u)[small])
+        t0 = l_u / (a + b)
+        t[small] = t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_u) / (a + b * np.exp(c * t0))
+    return t[()]
 
 
 def gm_subtractive_quantile(spec, u):

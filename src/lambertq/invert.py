@@ -1,12 +1,12 @@
-"""Numeric quantile inversion by bracketing bisection plus Newton polish.
+"""Numeric quantile inversion: Chandrupatla's bracketed method on the log hazard.
 
-Works for every registered family, including the four whose survival
-functions admit no closed-form inverse.  The CDF is monotone on the
-support, so the algorithm is: expand a bracket geometrically away from
-the support infimum until it straddles the target probability (raising
-BracketError after 1000 doublings), bisect to floating-point exhaustion,
-then polish with damped Newton steps using a central-difference density.
-Every returned value is certified by its roundtrip residual |F(t) - u|.
+Works for every family, including the four without a closed-form inverse.
+It solves ln H(t) = ln(-ln(1 - u)), H = -ln SF, in y = log2(t - lo) (y = t
+on a two-sided support), where the equation is nearly linear for power-law
+hazards.  One pass over a ladder of rungs, t - lo doubling from rung to rung,
+brackets every u; Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) then
+calls the family's raw survival function on the still active points alone.
+Each returned t is certified by its roundtrip residual |F(t) - u|.
 """
 
 import math
@@ -14,86 +14,85 @@ import math
 import numpy as np
 
 from .errors import BracketError, LambertQError
-from .families import QuantilePath, QuantileResult, cdf, _check_u_open
+from .families import QuantilePath, QuantileResult, cdf, family_info, _check_u_open
 
 __all__ = ["numeric_quantile", "invert_cdf"]
 
 _MAX_DOUBLINGS = 1000
-_MAX_BISECT = 220  # enough to exhaust double precision from any finite bracket
+_MAX_STEPS = 400  # cap on Chandrupatla steps; a point still open keeps its first bracket
+_EPS = np.finfo(float).eps
+_Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 
 
-def _doubling_walk(spec, u, start, anchor, short, side, hint=""):
-    """Per-element bracket edge: from start, double each edge's distance from
-    anchor while short(F(edge), u) says F has not yet reached u there."""
-    edge = np.full(u.shape[0], start)
-    need = short(cdf(spec, edge), u)
-    for _ in range(_MAX_DOUBLINGS):
-        if not need.any():
-            return edge
-        edge[need] = anchor + (edge[need] - anchor) * 2.0
-        need &= short(cdf(spec, edge), u)
-    raise BracketError(
-        "%s: no %s bracket for u up to %r after %d doublings%s"
-        % (spec.family, side, float(u[need].max()), _MAX_DOUBLINGS, hint)
-    )
-
-
-def _expand_bracket(spec, u):
-    """Per-element bracket [lo_b, hi_b] with F(lo_b) <= u <= F(hi_b)."""
+@np.errstate(all="ignore")
+def _bracketed_root(spec, u):
+    """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps."""
+    sf, params = family_info(spec.family).sf, spec.params
     lo, hi = spec.support
-    n = u.shape[0]
+
+    def log_h(t):
+        out = np.log(-np.log(np.minimum(sf(t, params), 1.0)))
+        out[t >= hi] = np.inf  # SF is 0 there by definition
+        return np.fmin(out, np.inf)  # a NaN survival counts as past the root
 
     if math.isfinite(lo):
-        lo_b = np.full(n, float(lo))
+        top = (math.log2(hi - lo) if math.isfinite(hi)
+               else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
+        rungs = top - np.arange(int(top - _Y_FLOOR), -1, -1)
+        to_t = lambda y: lo + np.exp2(y)  # noqa: E731
     else:
-        # two-sided support: walk the lower edge down from -1 by doubling
-        lo_b = _doubling_walk(spec, u, -1.0, 0.0, np.greater, "lower")
+        rungs = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
+        rungs, to_t = np.concatenate([-rungs[::-1], rungs]), lambda y: y
+    log_l = np.log(-np.log1p(-u))
+    at = log_h(to_t(rungs))
+    at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
+    j = np.maximum(np.searchsorted(np.maximum.accumulate(at, out=at), log_l), 1)
+    if (j == at.size).any():
+        raise BracketError(
+            "%s: no upper bracket for u up to %r after %d doublings (survival mass may "
+            "remain at infinity)" % (spec.family, float(u[j == at.size].max()), _MAX_DOUBLINGS))
 
-    if math.isfinite(hi):
-        hi_b = np.full(n, float(hi))
-    else:
-        anchor = lo if math.isfinite(lo) else 0.0
-        hi_b = _doubling_walk(
-            spec, u, anchor + max(1.0, abs(anchor)), anchor, np.less, "upper",
-            " (survival mass may remain at infinity)",
-        )
+    # state rows: x1 f1 the newest point, x2 f2 the bracket's other edge, x3 f3 the edge dropped
+    ga, gb = at[j - 1] - log_l, at[j] - log_l
+    state = np.stack([rungs[j - 1], ga, rungs[j], gb, rungs[j], gb])
+    ends, idx = state[:4].copy(), np.arange(u.shape[0])
+    tau = np.nan_to_num(ga / (ga - gb), nan=0.5, posinf=0.5, neginf=0.5)  # the secant point
+    for _ in range(_MAX_STEPS):
+        if idx.size == 0:
+            break
+        x1, f1, x2 = state[:3]
+        tl = np.minimum(2.0 * _EPS * (np.abs(x1) + 1.0) / np.abs(x2 - x1), 0.5)
+        x = x1 + np.clip(tau, tl, 1.0 - tl) * (x2 - x1)  # a few ulp off the edges
+        t = to_t(x)
+        f = log_h(t) - log_l
+        keep = (f < 0.0) == (f1 < 0.0)
+        state[4:6] = np.where(keep, state[0:2], state[2:4])
+        state[2:4] = np.where(keep, state[2:4], state[0:2])
+        state[0], state[1] = x, f
+        # no double strictly inside the bracket, in y or in t: midpoints round to an edge
+        x2, t2 = state[2], to_t(state[2])
+        xm, tm = 0.5 * (x + x2), 0.5 * (t + t2)
+        done = (np.abs(f) <= 2.0 * _EPS) | (xm == x) | (xm == x2) | (tm == t) | (tm == t2)
+        if done.any():
+            ends[:, idx[done]] = np.compress(done, state[:4], axis=1)
+            state, idx, log_l = np.compress(~done, state, axis=1), idx[~done], log_l[~done]
+        x1, f1, x2, f2, x3, f3 = state
+        xi, phi, alpha = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2), (x3 - x1) / (x2 - x1)
+        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        tau = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                       - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
 
-    return lo_b, hi_b
+    # the edge whose F = 1 - exp(-H) lies closer to u; on a tie, closer in ln H
+    x1, f1, x2, f2 = ends
+    d1, d2 = (np.abs(-np.expm1(-np.exp(f + np.log(-np.log1p(-u)))) - u) for f in (f1, f2))
+    return to_t(np.where((d1 < d2) | ((d1 == d2) & (np.abs(f1) <= np.abs(f2))), x1, x2))
 
 
 def invert_cdf(spec, u, tol=1e-12):
     """Vectorized t with |cdf(spec, t) - u| <= tol for each u in (0, 1)."""
     u = np.asarray(u, dtype=float)
-    lo_b, hi_b = _expand_bracket(spec, u)
-
-    # bisection to floating-point exhaustion: stop once no midpoint remains
-    # strictly between its bracket edges
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo_b + hi_b)
-        open_ = (mid > lo_b) & (mid < hi_b)
-        if not open_.any():
-            break
-        below = cdf(spec, mid) < u
-        lo_b = np.where(open_ & below, mid, lo_b)
-        hi_b = np.where(open_ & ~below, mid, hi_b)
-
-    t = 0.5 * (lo_b + hi_b)
+    t = _bracketed_root(spec, u)
     res = np.abs(cdf(spec, t) - u)
-
-    # Newton polish with a central-difference density; keep a step only
-    # where it actually reduces the residual
-    for _ in range(2):
-        h = 1e-7 * np.maximum(np.abs(t), 1e-3)
-        with np.errstate(all="ignore"):
-            dens = (cdf(spec, t + h) - cdf(spec, t - h)) / (2.0 * h)
-            step = (cdf(spec, t) - u) / dens
-        ok = np.isfinite(step)
-        cand = np.where(ok, np.clip(t - step, lo_b, hi_b), t)
-        cand_res = np.abs(cdf(spec, cand) - u)
-        better = cand_res < res
-        t = np.where(better, cand, t)
-        res = np.where(better, cand_res, res)
-
     if float(res.max()) > tol:
         raise LambertQError(
             "%s: numeric inversion reached residual %r, above the requested "
@@ -105,9 +104,10 @@ def invert_cdf(spec, u, tol=1e-12):
 def numeric_quantile(spec, u, tol=1e-12):
     """Quantile by numeric CDF inversion, for any family.
 
-    Returns a QuantileResult on the Numeric path whose roundtrip residual
-    is certified <= tol.  tol must be at least 1e-14 (below that the CDF's
-    own rounding noise dominates).
+    Chandrupatla's bracketed method on ln H(t) = ln(-ln(1 - u)) (see the
+    module docstring).  Returns a QuantileResult on the Numeric path whose
+    roundtrip residual is certified <= tol, or raises LambertQError.  tol
+    must be at least 1e-14 (below that the CDF's own rounding noise dominates).
     """
     if not tol >= 1e-14:
         raise ValueError("numeric_quantile: tol must be >= 1e-14; got %r" % tol)

@@ -14,6 +14,7 @@ import pytest
 from conftest import acceptance_grid, bisect, geometric_tail_grid
 
 from lambertq import (
+    LambertQError,
     Verdict,
     counter_uniforms,
     errata_report,
@@ -64,6 +65,19 @@ def analytic_refspecs():
             continue
         for spec in reference_specs(name):
             yield spec
+
+
+# phani5 with an infinite density at t = a: near a no double meets the 1e-12
+# certificate, so sample() of it raises at n = 10^5 (see CHANGES.md, FOUND)
+STEEP_PHANI5 = dict(a=0.5, b=2.0, c=2.0, d=0.5, e=1.5)
+
+
+def numeric_refspecs():
+    """The numeric-only reference sets that sample cleanly: all but STEEP_PHANI5."""
+    for name in sorted(NO_CLOSED_FORM):
+        for spec in reference_specs(name):
+            if spec.params != STEEP_PHANI5:
+                yield spec
 
 
 def test_criterion_01_w_identity_million_points():
@@ -166,7 +180,7 @@ def test_criterion_08_sampling_ks_and_determinism():
     with criterion(8, "KS D_n*sqrt(n) <= 1.95 at n = 10^5 for 3 seeds; bit-identical reruns and serial == parallel"):
         n = 10**5
         root_n = math.sqrt(n)
-        for spec in analytic_refspecs():
+        for spec in list(analytic_refspecs()) + list(numeric_refspecs()):
             for seed in KS_SEEDS:
                 batch = sample(spec, n, seed=seed)
                 d = ks_statistic(batch)
@@ -177,6 +191,14 @@ def test_criterion_08_sampling_ks_and_determinism():
         np.testing.assert_array_equal(sample(spec, n, seed=7).values, again.values)
         parallel = sample(spec, n, seed=7, workers=4)
         np.testing.assert_array_equal(parallel.values, again.values)
+
+
+@pytest.mark.xfail(strict=True, raises=LambertQError,
+                   reason="FOUND: phani5 {a=.5,b=2,c=2,d=.5,e=1.5} sampling misses the "
+                          "1e-12 certificate next to its infinite density at t = a")
+@pytest.mark.parametrize("seed", KS_SEEDS)
+def test_criterion_08_steep_phani5_sampling(seed):
+    sample(validate("phani5", **STEEP_PHANI5), 10**5, seed=seed)
 
 
 def test_criterion_09_hazard_shape_classification():

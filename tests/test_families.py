@@ -269,6 +269,20 @@ def test_gompertz_makeham_quantile_matches_numeric():
     assert analytic.roundtrip_residual <= 1e-9
 
 
+def test_gompertz_makeham_tiny_u_relative_error():
+    # small u, where the outer-log form cancels (to t = 0.0 at u = 2^-54);
+    # the oracle solves a t + (b/c) expm1(c t) = L(u) by bisection
+    us = [2.0 ** -54, 1.05e-16, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.5]
+    for spec in reference_specs("gompertz_makeham"):
+        a, b, c = spec.params["a"], spec.params["b"], spec.params["c"]
+        got = quantile_values(spec, np.array(us))
+        for u, t in zip(us, got):
+            l_u = -math.log1p(-u)
+            ref = bisect(lambda x: a * x + (b / c) * math.expm1(c * x) - l_u,
+                         0.0, 2.0 * l_u / (a + b) + 10.0)
+            assert abs(t - ref) <= 1e-11 * ref, (spec.params, u, t, ref)
+
+
 def test_gompertz_makeham_dual_forms_agree():
     u = GRID99
     for spec in reference_specs("gompertz_makeham"):

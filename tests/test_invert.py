@@ -1,5 +1,6 @@
 """Tests for bracketed numeric CDF inversion (the quantile oracle)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,15 +10,22 @@ from conftest import bisect
 from lambertq import (
     BracketError,
     DomainError,
+    LambertQError,
     QuantilePath,
     cdf,
+    counter_uniforms,
     invert_cdf,
     numeric_quantile,
     quantile_values,
+    reference_specs,
     validate,
 )
+from lambertq import families
 
 NUMERIC_ONLY = ("additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3")
+# phani5 with an infinite density at t = a: next to a, F moves by more than
+# 1e-12 between neighbouring doubles, so no double certifies u = 3e-9 or 1e-6
+STEEP_PHANI5 = dict(a=0.5, b=2.0, c=2.0, d=0.5, e=1.5)
 
 
 def test_weibull2_median_certified():
@@ -109,3 +117,38 @@ def test_defective_mass_guarded_at_quantile_level():
     spec = validate("gompertz2", a=1.0, b=-1.0)
     with pytest.raises(DomainError):
         numeric_quantile(spec, 0.9)
+
+
+@pytest.mark.parametrize("u", [2.0 ** -54, 1e-12, 3e-9, 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+def test_tail_probabilities_give_certified_quantile_or_typed_error(u):
+    # the sampler's extreme uniforms and the deep tails: a certified t inside
+    # the support, or LambertQError; only the steep phani5 set may raise, and
+    # only where no double certifies u
+    for name in NUMERIC_ONLY:
+        for spec in reference_specs(name):
+            lo, hi = spec.support
+            try:
+                res = numeric_quantile(spec, u, tol=1e-12)
+            except LambertQError:
+                assert spec.params == STEEP_PHANI5 and u in (3e-9, 1e-6), (name, spec.params)
+                continue
+            assert lo <= res.t < hi, (name, spec.params, res.t)
+            assert res.roundtrip_residual <= 1e-12, (name, spec.params)
+
+
+def test_inverter_calls_survival_a_bounded_number_of_times(monkeypatch):
+    # the work done, counted independent of timing: the ladder pass, the
+    # passes over the still active points and the certificate
+    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
+    fam = families.family_info("xie_lai3")
+    calls = []
+
+    def counting_sf(t, p):
+        calls.append(np.size(t))
+        return fam.sf(t, p)
+
+    monkeypatch.setitem(families._FAMILIES, "xie_lai3", dataclasses.replace(fam, sf=counting_sf))
+    u = counter_uniforms(2024, 0, 5000)
+    t = invert_cdf(spec, u, tol=1e-12)
+    assert len(calls) <= 30, len(calls)
+    assert np.all(np.diff(t[np.argsort(u)]) >= 0.0)

@@ -104,11 +104,14 @@ def test_parallel_equals_serial():
 
 
 def test_parallel_equals_serial_numeric_path():
-    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
-    serial = sample(spec, 501, seed=3)
-    parallel = sample(spec, 501, seed=3, workers=3)
-    np.testing.assert_array_equal(serial.values, parallel.values)
-    assert serial.method is SampleMethod.NUMERIC
+    # every numeric-only reference set, at an odd n that three workers split unevenly
+    for family in ("xie_lai3", "additive_weibull", "nadarajah_kotz", "phani5"):
+        for params in reference_params(family):
+            spec = validate(family, **params)
+            serial = sample(spec, 501, seed=3)
+            parallel = sample(spec, 501, seed=3, workers=3)
+            np.testing.assert_array_equal(serial.values, parallel.values, err_msg=repr(params))
+            assert serial.method is SampleMethod.NUMERIC
 
 
 def test_auto_prefers_analytic():

@@ -1,10 +1,14 @@
 """Registry of 28 lifetime distribution families.
 
-Each family carries its survival function, parameter constraints,
-support, and -- where one exists -- a closed-form quantile.  Fourteen
-quantiles are elementary closed forms, ten involve the principal branch
-of the Lambert W function, and four families have no analytic inverse
-at all (callers use the numeric inverter for those).
+Each family carries parameter constraints, support, a closed-form
+quantile where one exists, and either its cumulative hazard H(t) =
+-ln SF(t) (18 families) or, for the ten exponentiated, ratio and power
+forms that have no H written yet, its survival function.  ``survival``
+derives SF = exp(-H) in one place, and the numeric inverter reads ln H
+from the family's own H.  Fourteen quantiles are elementary closed forms,
+ten involve the principal branch of the Lambert W function, and four
+families have no analytic inverse at all (callers use the numeric
+inverter for those).
 
 Six catalogued closed forms do not actually invert their own CDF (wrong
 prefactor, swapped symbols, survival function inverted instead of the
@@ -112,8 +116,12 @@ class Family:
     check: Callable                      # raises ParamError on bad params
     support: Callable                    # params -> (lo, hi)
     support_desc: str
-    sf: Callable                         # (t array, params) -> SF array
     quantile: Optional[Callable]         # (u array, params) -> t array; None => numeric only
+    # exactly one of the two below: the cumulative hazard H = -ln SF where the
+    # family has one, else the survival function itself; both take
+    # (t array inside the support, params)
+    hazard: Optional[Callable] = None
+    sf: Optional[Callable] = None
     printed_quantile: Optional[Callable] = None  # catalogued form when it differs
     corrected: bool = False
     note: str = ""
@@ -138,8 +146,8 @@ def _register(fam):
 # --------------------------------------------------------------------------
 # closed-form families
 
-def _sf_weibull2(t, p):
-    return np.exp(-p["a"] * t ** p["b"])
+def _h_weibull2(t, p):
+    return p["a"] * t ** p["b"]
 
 
 def _q_weibull2(u, p):
@@ -153,13 +161,13 @@ _register(Family(
     check=lambda p: _pos("a", "b")("weibull2", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_weibull2,
+    hazard=_h_weibull2,
     quantile=_q_weibull2,
 ))
 
 
-def _sf_gompertz2(t, p):
-    return np.exp(-(p["a"] / p["b"]) * np.expm1(p["b"] * t))
+def _h_gompertz2(t, p):
+    return (p["a"] / p["b"]) * np.expm1(p["b"] * t)
 
 
 def _q_gompertz2(u, p):
@@ -183,7 +191,7 @@ _register(Family(
     check=_check_gompertz2,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_gompertz2,
+    hazard=_h_gompertz2,
     quantile=_q_gompertz2,
     # b < 0 leaves survival mass exp(a/b) at infinity: quantiles exist only
     # for u below 1 - exp(a/b)
@@ -191,8 +199,8 @@ _register(Family(
 ))
 
 
-def _sf_trunc_log_weibull(t, p):
-    return np.exp(-np.exp((t - p["a"]) / p["b"]))
+def _h_trunc_log_weibull(t, p):
+    return np.exp((t - p["a"]) / p["b"])
 
 
 def _q_trunc_log_weibull(u, p):
@@ -211,13 +219,13 @@ _register(Family(
     check=_check_trunc_log_weibull,
     support=lambda p: (-_INF, _INF),
     support_desc="(-inf, inf)",
-    sf=_sf_trunc_log_weibull,
+    hazard=_h_trunc_log_weibull,
     quantile=_q_trunc_log_weibull,
 ))
 
 
-def _sf_flexible_weibull(t, p):
-    return np.exp(-np.exp(p["a"] * t - p["b"] / t))
+def _h_flexible_weibull(t, p):
+    return np.exp(p["a"] * t - p["b"] / t)
 
 
 def _q_flexible_weibull(u, p):
@@ -247,7 +255,7 @@ _register(Family(
     check=lambda p: _pos("a", "b")("flexible_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="(0, inf)",
-    sf=_sf_flexible_weibull,
+    hazard=_h_flexible_weibull,
     quantile=_q_flexible_weibull,
     printed_quantile=_q_flexible_weibull_printed,
     corrected=True,
@@ -259,8 +267,8 @@ _register(Family(
 ))
 
 
-def _sf_pham(t, p):
-    return np.exp(-np.expm1(t ** p["b"] * math.log(p["a"])))
+def _h_pham(t, p):
+    return np.expm1(t ** p["b"] * math.log(p["a"]))
 
 
 def _q_pham(u, p):
@@ -281,7 +289,7 @@ _register(Family(
     check=_check_pham,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_pham,
+    hazard=_h_pham,
     quantile=_q_pham,
 ))
 
@@ -308,8 +316,8 @@ _register(Family(
 ))
 
 
-def _sf_mod_weibull_ext(t, p):
-    return np.exp(-p["a"] * p["b"] * np.expm1((t / p["b"]) ** p["c"]))
+def _h_mod_weibull_ext(t, p):
+    return p["a"] * p["b"] * np.expm1((t / p["b"]) ** p["c"])
 
 
 def _q_mod_weibull_ext(u, p):
@@ -328,7 +336,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("mod_weibull_ext", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_mod_weibull_ext,
+    hazard=_h_mod_weibull_ext,
     quantile=_q_mod_weibull_ext,
     printed_quantile=_q_mod_weibull_ext_printed,
     corrected=True,
@@ -424,8 +432,8 @@ _register(Family(
 ))
 
 
-def _sf_gen_power_weibull(t, p):
-    return np.exp(-np.expm1(np.log1p(p["a"] * t ** p["b"]) / p["c"]))
+def _h_gen_power_weibull(t, p):
+    return np.expm1(np.log1p(p["a"] * t ** p["b"]) / p["c"])
 
 
 def _q_gen_power_weibull(u, p):
@@ -440,7 +448,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("gen_power_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_gen_power_weibull,
+    hazard=_h_gen_power_weibull,
     quantile=_q_gen_power_weibull,
 ))
 
@@ -466,8 +474,8 @@ _register(Family(
 ))
 
 
-def _sf_kies4(t, p):
-    return np.exp(-p["c"] * ((t - p["a"]) / (p["b"] - t)) ** p["d"])
+def _h_kies4(t, p):
+    return p["c"] * ((t - p["a"]) / (p["b"] - t)) ** p["d"]
 
 
 def _q_kies4(u, p):
@@ -490,7 +498,7 @@ _register(Family(
     check=_check_kies4,
     support=lambda p: (p["a"], p["b"]),
     support_desc="[a, b)",
-    sf=_sf_kies4,
+    hazard=_h_kies4,
     quantile=_q_kies4,
 ))
 
@@ -547,8 +555,8 @@ def _w0(arg):
     return w_principal(arg).value
 
 
-def _sf_lai_weibull3(t, p):
-    return np.exp(-p["a"] * t ** p["b"] * np.exp(p["c"] * t))
+def _h_lai_weibull3(t, p):
+    return p["a"] * t ** p["b"] * np.exp(p["c"] * t)
 
 
 def _q_lai_weibull3(u, p):
@@ -573,7 +581,7 @@ _register(Family(
     check=_check_lai_weibull3,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_lai_weibull3,
+    hazard=_h_lai_weibull3,
     quantile=_q_lai_weibull3,
 ))
 
@@ -609,9 +617,9 @@ _register(Family(
 ))
 
 
-def _sf_xie_lai3(t, p):
+def _h_xie_lai3(t, p):
     at = p["a"] * t
-    return np.exp(-at ** p["b"] - at ** (1.0 / p["b"]) - p["c"] * t)
+    return at ** p["b"] + at ** (1.0 / p["b"]) + p["c"] * t
 
 
 def _check_xie_lai3(p):
@@ -630,7 +638,7 @@ _register(Family(
     check=_check_xie_lai3,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_xie_lai3,
+    hazard=_h_xie_lai3,
     quantile=None,
     note=(
         "no closed-form inverse: t enters through (a t)^b, (a t)^(1/b) and a "
@@ -672,9 +680,9 @@ _register(Family(
 ))
 
 
-def _sf_shifted_mod_weibull(t, p):
+def _h_shifted_mod_weibull(t, p):
     tau = t - p["d"]
-    return np.exp(-((p["a"] * tau) ** p["b"]) * np.exp(p["c"] * tau))
+    return (p["a"] * tau) ** p["b"] * np.exp(p["c"] * tau)
 
 
 def _q_shifted_mod_weibull(u, p):
@@ -701,13 +709,13 @@ _register(Family(
     check=_check_shifted_mod_weibull,
     support=lambda p: (p["d"], _INF),
     support_desc="[d, inf)",
-    sf=_sf_shifted_mod_weibull,
+    hazard=_h_shifted_mod_weibull,
     quantile=_q_shifted_mod_weibull,
 ))
 
 
-def _sf_additive_weibull(t, p):
-    return np.exp(-p["a"] * t ** p["b"] - p["c"] * t ** p["d"])
+def _h_additive_weibull(t, p):
+    return p["a"] * t ** p["b"] + p["c"] * t ** p["d"]
 
 
 _register(Family(
@@ -717,7 +725,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c", "d")("additive_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_additive_weibull,
+    hazard=_h_additive_weibull,
     quantile=None,
     note=(
         "no closed-form inverse: the two Weibull exponents b and d cannot be "
@@ -726,8 +734,8 @@ _register(Family(
 ))
 
 
-def _sf_nadarajah_kotz(t, p):
-    return np.exp(-p["a"] * t ** p["b"] * np.expm1(p["c"] * t ** p["d"]))
+def _h_nadarajah_kotz(t, p):
+    return p["a"] * t ** p["b"] * np.expm1(p["c"] * t ** p["d"])
 
 
 def _check_nadarajah_kotz(p):
@@ -748,7 +756,7 @@ _register(Family(
     check=_check_nadarajah_kotz,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_nadarajah_kotz,
+    hazard=_h_nadarajah_kotz,
     quantile=None,
     note="no closed-form inverse is available for this survival function",
 ))
@@ -790,8 +798,8 @@ _register(Family(
 ))
 
 
-def _sf_phani5(t, p):
-    return np.exp(-p["c"] * (t - p["a"]) ** p["d"] / (p["b"] - t) ** p["e"])
+def _h_phani5(t, p):
+    return p["c"] * (t - p["a"]) ** p["d"] / (p["b"] - t) ** p["e"]
 
 
 def _check_phani5(p):
@@ -809,7 +817,7 @@ _register(Family(
     check=_check_phani5,
     support=lambda p: (p["a"], p["b"]),
     support_desc="[a, b)",
-    sf=_sf_phani5,
+    hazard=_h_phani5,
     quantile=None,
     note=(
         "no closed-form inverse: the numerator and denominator carry distinct "
@@ -818,8 +826,8 @@ _register(Family(
 ))
 
 
-def _sf_lomax_like(t, p, d):
-    return np.exp(-d * np.log1p((p["a"] * t) ** p["b"] * np.exp(p["c"] * t)))
+def _h_lomax_like(t, p, d):
+    return d * np.log1p((p["a"] * t) ** p["b"] * np.exp(p["c"] * t))
 
 
 def _q_lomax_like(u, p, d):
@@ -837,13 +845,13 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("mod_log_logistic", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=lambda t, p: _sf_lomax_like(t, p, 1.0),
+    hazard=lambda t, p: _h_lomax_like(t, p, 1.0),
     quantile=lambda u, p: _q_lomax_like(u, p, 1.0),
 ))
 
 
-def _sf_gompertz_makeham(t, p):
-    return np.exp(-p["a"] * t - (p["b"] / p["c"]) * np.expm1(p["c"] * t))
+def _h_gompertz_makeham(t, p):
+    return p["a"] * t + (p["b"] / p["c"]) * np.expm1(p["c"] * t)
 
 
 def _gm_w(u, p):
@@ -893,7 +901,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("gompertz_makeham", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_gompertz_makeham,
+    hazard=_h_gompertz_makeham,
     quantile=_q_gompertz_makeham,
 ))
 
@@ -905,14 +913,14 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c", "d")("mod_power_lomax", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=lambda t, p: _sf_lomax_like(t, p, p["d"]),
+    hazard=lambda t, p: _h_lomax_like(t, p, p["d"]),
     quantile=lambda u, p: _q_lomax_like(u, p, p["d"]),
 ))
 
 
-def _sf_mod_pareto4(t, p):
+def _h_mod_pareto4(t, p):
     tau = t - p["mu"]
-    return np.exp(-p["d"] * np.log1p((p["a"] * tau) ** (1.0 / p["b"]) * np.exp(p["c"] * tau)))
+    return p["d"] * np.log1p((p["a"] * tau) ** (1.0 / p["b"]) * np.exp(p["c"] * tau))
 
 
 def _q_mod_pareto4(u, p):
@@ -943,7 +951,7 @@ _register(Family(
     check=_check_mod_pareto4,
     support=lambda p: (p["mu"], _INF),
     support_desc="[mu, inf)",
-    sf=_sf_mod_pareto4,
+    hazard=_h_mod_pareto4,
     quantile=_q_mod_pareto4,
     printed_quantile=_q_mod_pareto4_printed,
     corrected=True,
@@ -1063,7 +1071,7 @@ def _endpoint_consistency(fam, spec):
     lo, hi = spec.support
     with np.errstate(all="ignore"):
         if math.isfinite(lo):
-            s_lo = float(fam.sf(np.array([lo], dtype=float), spec.params)[0])
+            s_lo = float(_sf(fam, np.array([lo], dtype=float), spec.params)[0])
             if not (np.isfinite(s_lo) and abs(s_lo - 1.0) <= 1e-9):
                 raise ParamError(
                     "%s: survival at the lower endpoint is %r, expected 1 "
@@ -1072,12 +1080,17 @@ def _endpoint_consistency(fam, spec):
         if math.isfinite(hi):
             span = hi - (lo if math.isfinite(lo) else 0.0)
             ts = hi - span * np.array([1e-3, 1e-6, 1e-9, 1e-13])
-            s_hi = fam.sf(ts, spec.params)
+            s_hi = _sf(fam, ts, spec.params)
             if not (np.all(np.isfinite(s_hi)) and float(np.min(s_hi)) < 0.5):
                 raise ParamError(
                     "%s: survival does not vanish toward the upper endpoint %r "
                     "(support/SF inconsistency)" % (spec.family, hi)
                 )
+
+
+def _sf(fam, t, p):
+    """The family's SF at t inside the support: exp(-H), or its own SF."""
+    return np.exp(-fam.hazard(t, p)) if fam.hazard is not None else fam.sf(t, p)
 
 
 def survival(spec, t):
@@ -1091,7 +1104,7 @@ def survival(spec, t):
     inside = (v >= lo) & (v < hi)
     with np.errstate(all="ignore"):
         if inside.any():
-            out[inside] = np.clip(fam.sf(v[inside], spec.params), 0.0, 1.0)
+            out[inside] = np.clip(_sf(fam, v[inside], spec.params), 0.0, 1.0)
     out[v < lo] = 1.0
     out[v >= hi] = 0.0
     return float(out[0]) if scalar else out

@@ -3,9 +3,11 @@
 Works for every family, including the four without a closed-form inverse.
 It solves ln H(t) = ln(-ln(1 - u)), H = -ln SF, in y = log2(t - lo) (y = t
 on a two-sided support), where the equation is nearly linear for power-law
-hazards.  One pass over a ladder of rungs, t - lo doubling from rung to rung,
-brackets every u; Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) then
-calls the family's raw survival function on the still active points alone.
+hazards.  ln H is the log of the family's own cumulative hazard, which stays
+exact where SF rounds to 1; only the ten families that store their survival
+function instead go through -ln SF.  One pass over a ladder of rungs, t - lo
+doubling from rung to rung, brackets every u; Chandrupatla's method (Adv.
+Eng. Softw. 28(3), 1997) then evaluates H on the still active points alone.
 Each returned t is certified by its roundtrip residual |F(t) - u|.
 """
 
@@ -27,13 +29,16 @@ _Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 @np.errstate(all="ignore")
 def _bracketed_root(spec, u):
     """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps."""
-    sf, params = family_info(spec.family).sf, spec.params
+    fam, params = family_info(spec.family), spec.params
     lo, hi = spec.support
 
     def log_h(t):
-        out = np.log(-np.log(np.minimum(sf(t, params), 1.0)))
-        out[t >= hi] = np.inf  # SF is 0 there by definition
-        return np.fmin(out, np.inf)  # a NaN survival counts as past the root
+        if fam.hazard is not None:
+            out = np.log(fam.hazard(t, params))
+        else:  # H = -ln SF, which loses H where SF rounds to 1
+            out = np.log(-np.log(np.minimum(fam.sf(t, params), 1.0)))
+        out[t >= hi] = np.inf  # H is infinite there by definition
+        return np.fmin(out, np.inf)  # a NaN hazard or survival counts as past the root
 
     if math.isfinite(lo):
         top = (math.log2(hi - lo) if math.isfinite(hi)
@@ -104,10 +109,12 @@ def invert_cdf(spec, u, tol=1e-12):
 def numeric_quantile(spec, u, tol=1e-12):
     """Quantile by numeric CDF inversion, for any family.
 
-    Chandrupatla's bracketed method on ln H(t) = ln(-ln(1 - u)) (see the
-    module docstring).  Returns a QuantileResult on the Numeric path whose
-    roundtrip residual is certified <= tol, or raises LambertQError.  tol
-    must be at least 1e-14 (below that the CDF's own rounding noise dominates).
+    Chandrupatla's bracketed method on ln H(t) = ln(-ln(1 - u)), with H the
+    family's own cumulative hazard, or -ln SF for the ten families that
+    store only their survival function (see the module docstring).  Returns
+    a QuantileResult on the Numeric path whose roundtrip residual is
+    certified <= tol, or raises LambertQError.  tol must be at least 1e-14
+    (below that the CDF's own rounding noise dominates).
     """
     if not tol >= 1e-14:
         raise ValueError("numeric_quantile: tol must be >= 1e-14; got %r" % tol)

@@ -58,6 +58,16 @@ def test_analytic_coverage_is_24_of_28():
     assert set(family_ids()) - analytic == NUMERIC_ONLY
 
 
+def test_each_family_stores_one_of_hazard_or_survival():
+    # 18 families store their cumulative hazard H = -ln SF, among them every
+    # numeric-only one; the exponentiated, ratio and power forms store SF
+    stores_h = {n for n in family_ids() if family_info(n).hazard is not None}
+    for n in family_ids():
+        assert (family_info(n).hazard is None) != (family_info(n).sf is None), n
+    assert len(stores_h) == 18
+    assert NUMERIC_ONLY <= stores_h
+
+
 def test_family_info_unknown_raises():
     with pytest.raises(ParamError):
         family_info("weibull17")

@@ -1,0 +1,54 @@
+"""The call chain the benchmark's tracer wraps from outside the library.
+
+``perfbench/tracing.py`` replaces module attributes (``invert.invert_cdf``,
+``invert.cdf``, ...) with span-recording wrappers.  A name that no longer
+resolves breaks the traced run, and a call that bypasses the module
+attribute leaves no span, so a per-layer metric divides by zero and the
+run's JSON line carries a bare NaN.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import lambertq
+import lambertq.cli  # noqa: F401  (cli_targets wraps its attributes)
+from lambertq import invert, validate
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    tracing = _tracing_module()
+    for module, attr, *_ in tracing.targets(lambertq) + tracing.cli_targets(lambertq):
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
+
+
+def test_numeric_quantile_goes_through_invert_cdf_and_its_cdf(monkeypatch):
+    calls = {"invert_cdf": 0, "cdf_inside_invert_cdf": 0}
+    depth = []
+    invert_cdf, cdf = invert.invert_cdf, invert.cdf
+
+    def counting_invert_cdf(*args, **kwargs):
+        calls["invert_cdf"] += 1
+        depth.append(1)
+        try:
+            return invert_cdf(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def counting_cdf(*args, **kwargs):
+        calls["cdf_inside_invert_cdf"] += bool(depth)
+        return cdf(*args, **kwargs)
+
+    monkeypatch.setattr(invert, "invert_cdf", counting_invert_cdf)
+    monkeypatch.setattr(invert, "cdf", counting_cdf)
+    lambertq.numeric_quantile(validate("xie_lai3", a=1.0, b=2.0, c=1.0), 0.3)
+    assert calls["invert_cdf"] == 1, calls
+    assert calls["cdf_inside_invert_cdf"] >= 1, calls

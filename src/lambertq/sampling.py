@@ -12,7 +12,11 @@ k >> 11 = 2**53 - 1 rounds to exactly 1.0 there; it is clamped to
 inside (0, 1).
 
 Samples are quantiles of those uniforms: the analytic closed form where
-one exists, or certified numeric CDF inversion otherwise.
+one exists, or certified numeric CDF inversion otherwise.  A batch is
+drawn in fixed blocks of at most 2**14 positions, so that every
+temporary array stays small enough for the L2 cache.  Stream, formulas
+and inverter all work point by point, so any split into blocks or
+across workers gives the same batch bit for bit.
 """
 
 import json
@@ -45,13 +49,17 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 1 << 64
 _U_TOP = 1.0 - 2.0 ** -53  # largest double below 1
+_BLOCK = 1 << 14  # draws per block: 128 KiB per temporary array, inside L2
 
 
 def _mix64(z):
-    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer on a uint64 array, in place (wrapping arithmetic)."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def counter_words(seed, start, n):
@@ -62,15 +70,20 @@ def counter_words(seed, start, n):
     start = int(start)
     if start < 0 or start + n > _U64 - 1:
         raise ValueError("counter_words: position range exceeds the counter space")
-    idx = start + 1 + np.arange(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64(np.uint64(seed) + idx * _GOLDEN)
+    z = np.arange(n, dtype=np.uint64)
+    z += np.uint64(start + 1)
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    return _mix64(z)
 
 
 def counter_uniforms(seed, start, n):
     """Uniforms in (0, 1) at absolute stream positions start .. start+n-1."""
     k = counter_words(seed, start, n)
-    u = ((k >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    k >>= np.uint64(11)
+    u = k.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
     return np.minimum(u, _U_TOP, out=u)
 
 
@@ -137,9 +150,10 @@ def sample(spec, n, seed, method=SampleMethod.AUTO, workers=1):
 
     method Auto picks the analytic quantile when the family has one and
     numeric inversion otherwise; requesting Analytic for a family without
-    a closed form raises NoAnalyticFormError.  workers > 1 splits the
-    counter range across threads; because the stream is counter-based the
-    result is bit-identical to the serial one.
+    a closed form raises NoAnalyticFormError.  The counter range [0, n) is
+    cut into max(workers, ceil(n / 2**14)) contiguous blocks, run in turn,
+    or on `workers` threads when workers > 1; because the stream is
+    counter-based the result is bit-identical for any split.
     """
     n = int(n)
     if n < 1:
@@ -160,21 +174,20 @@ def sample(spec, n, seed, method=SampleMethod.AUTO, workers=1):
         )
 
     workers = max(1, int(workers))
+    k = max(workers, -(-n // _BLOCK))
+    bounds = [(i * n) // k for i in range(k + 1)]
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+    def draw(span):
+        lo, hi = span
+        return _quantile_chunk(spec, counter_uniforms(seed, lo, hi - lo), method)
+
     if workers == 1:
-        values = _quantile_chunk(spec, counter_uniforms(seed, 0, n), method)
+        parts = list(map(draw, spans))
     else:
-        bounds = [(i * n) // workers for i in range(workers + 1)]
-        chunks = [
-            (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(
-                lambda span: _quantile_chunk(
-                    spec, counter_uniforms(seed, span[0], span[1] - span[0]), method
-                ),
-                chunks,
-            ))
-        values = np.concatenate(parts)
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+            parts = list(pool.map(draw, spans))
+    values = np.concatenate(parts)
 
     return SampleBatch(
         spec=spec,
@@ -214,24 +227,28 @@ def empirical_moments(batch):
 
 def batch_to_csv(batch):
     """One 'value' header line then one row per draw, full double precision."""
-    lines = ["value"]
-    lines.extend(repr(float(v)) for v in batch.values)
-    return "\n".join(lines) + "\n"
+    values = np.asarray(batch.values, dtype=float).tolist()
+    return "\n".join(["value", *map(repr, values)]) + "\n"
 
 
 def batch_to_json(batch):
     """JSON document echoing family, params, seed, method, and draw values.
 
     Schema: {family, params, seed, algorithm_id, method, n, values};
-    values carry full shortest-roundtrip precision.
+    values carry full shortest-roundtrip precision.  The text is that of
+    json.dumps(..., indent=2); the values list is encoded in one call of
+    the C encoder, its separator carrying the newline and indent.
     """
-    obj = {
+    values = np.asarray(batch.values, dtype=float).tolist()
+    head = json.dumps({
         "family": batch.spec.family,
         "params": batch.spec.params,
         "seed": batch.seed,
         "algorithm_id": batch.algorithm_id,
         "method": batch.method.value,
-        "n": int(batch.values.size),
-        "values": [float(v) for v in batch.values],
-    }
-    return json.dumps(obj, indent=2)
+        "n": len(values),
+    }, indent=2)
+    body = json.dumps(values, separators=(",\n    ", ": "))
+    if values:
+        body = "[\n    " + body[1:-1] + "\n  ]"
+    return head[:-2] + ',\n  "values": ' + body + "\n}"

@@ -11,6 +11,7 @@ from conftest import quad, splitmix64_reference, uniform_reference
 from lambertq import (
     ALGORITHM_ID,
     DomainError,
+    LambertQError,
     NoAnalyticFormError,
     SampleBatch,
     SampleMethod,
@@ -20,12 +21,16 @@ from lambertq import (
     cdf,
     counter_uniforms,
     empirical_moments,
+    family_ids,
+    family_info,
     ks_statistic,
     reference_params,
+    quantile_values,
     sample,
     survival,
     validate,
 )
+from lambertq import sampling
 from lambertq.sampling import counter_words
 
 
@@ -104,14 +109,50 @@ def test_parallel_equals_serial():
 
 
 def test_parallel_equals_serial_numeric_path():
-    # every numeric-only reference set, at an odd n that three workers split unevenly
+    # every numeric-only reference set, at odd n that three workers split
+    # unevenly: below one block, and across three blocks
     for family in ("xie_lai3", "additive_weibull", "nadarajah_kotz", "phani5"):
         for params in reference_params(family):
             spec = validate(family, **params)
-            serial = sample(spec, 501, seed=3)
-            parallel = sample(spec, 501, seed=3, workers=3)
-            np.testing.assert_array_equal(serial.values, parallel.values, err_msg=repr(params))
-            assert serial.method is SampleMethod.NUMERIC
+            for n in (501, 2 * sampling._BLOCK + 17):
+                serial = sample(spec, n, seed=3)
+                parallel = sample(spec, n, seed=3, workers=3)
+                np.testing.assert_array_equal(serial.values, parallel.values,
+                                              err_msg="%r n=%d" % (params, n))
+                assert serial.method is SampleMethod.NUMERIC
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_evaluates_in_blocks(monkeypatch, workers):
+    sizes = []
+
+    def counting(spec, u):
+        sizes.append(len(u))
+        return quantile_values(spec, u)
+
+    monkeypatch.setattr(sampling, "quantile_values", counting)
+    n = 5 * sampling._BLOCK + 3
+    sample(validate("weibull2", a=1.0, b=1.0), n, seed=1, workers=workers)
+    assert sum(sizes) == n
+    assert max(sizes) <= sampling._BLOCK
+    assert len(sizes) == 6
+
+
+def test_blocked_sample_equals_one_shot_quantiles():
+    # every closed-form reference set, at an n that spans three uneven blocks
+    n = 2 * sampling._BLOCK + 17
+    u = counter_uniforms(13, 0, n)
+    for family in (f for f in family_ids() if family_info(f).quantile is not None):
+        for params in reference_params(family):
+            spec = validate(family, **params)
+            try:
+                expect = quantile_values(spec, u)
+            except LambertQError as exc:  # a blocked run must raise it too
+                with pytest.raises(type(exc)):
+                    sample(spec, n, seed=13)
+                continue
+            np.testing.assert_array_equal(sample(spec, n, seed=13).values, expect,
+                                          err_msg="%s %r" % (family, params))
 
 
 def test_auto_prefers_analytic():
@@ -300,3 +341,20 @@ def test_json_schema_and_roundtrip():
     assert doc["method"] == "Analytic"
     assert doc["algorithm_id"] == ALGORITHM_ID
     np.testing.assert_array_equal(np.array(doc["values"]), batch.values)
+
+
+def test_serializers_match_the_generic_encoders():
+    spec = validate("lai_weibull3", a=1.0, b=0.5, c=2.0)
+    values = np.array([np.inf, np.nan, 5e-324, -0.0, 0.1, 1e300, -np.inf])
+    for v in (values, values[:1], values[:0]):
+        batch = SampleBatch(spec=spec, values=v, seed=8, method=SampleMethod.ANALYTIC)
+        assert batch_to_csv(batch) == "\n".join(["value"] + [repr(float(x)) for x in v]) + "\n"
+        assert batch_to_json(batch) == json.dumps({
+            "family": "lai_weibull3",
+            "params": {"a": 1.0, "b": 0.5, "c": 2.0},
+            "seed": 8,
+            "algorithm_id": ALGORITHM_ID,
+            "method": "Analytic",
+            "n": v.size,
+            "values": [float(x) for x in v],
+        }, indent=2)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import lambertq
 import lambertq.cli  # noqa: F401  (cli_targets wraps its attributes)
-from lambertq import invert, validate
+from lambertq import invert, sampling, validate
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +52,25 @@ def test_numeric_quantile_goes_through_invert_cdf_and_its_cdf(monkeypatch):
     lambertq.numeric_quantile(validate("xie_lai3", a=1.0, b=2.0, c=1.0), 0.3)
     assert calls["invert_cdf"] == 1, calls
     assert calls["cdf_inside_invert_cdf"] >= 1, calls
+
+
+def _count_sampler_calls(monkeypatch):
+    calls = {}
+    for name in ("counter_uniforms", "quantile_values", "invert_cdf"):
+        def counting(*args, _name=name, _fn=getattr(sampling, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sampling, name, counting)
+    return calls
+
+
+def test_sample_of_a_closed_form_goes_through_the_stream_and_the_formula(monkeypatch):
+    calls = _count_sampler_calls(monkeypatch)
+    lambertq.sample(validate("weibull2", a=1.0, b=2.0), 100, seed=1)
+    assert calls == {"counter_uniforms": 1, "quantile_values": 1}
+
+
+def test_sample_of_a_numeric_set_goes_through_invert_cdf(monkeypatch):
+    calls = _count_sampler_calls(monkeypatch)
+    lambertq.sample(validate("xie_lai3", a=1.0, b=2.0, c=1.0), 100, seed=1)
+    assert calls == {"counter_uniforms": 1, "invert_cdf": 1}

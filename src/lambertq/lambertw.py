@@ -16,6 +16,13 @@ Every evaluation reports the defining-identity residual
 |w*exp(w) - x| / max(|x|, 1e-300) and the iteration count alongside the
 value, so callers can audit precision directly.
 
+An array is checked with one min and one max (a NaN makes both NaN).  The
+bulk start (log1p(x) for W0, the logarithmic form for W-1) is computed over
+the whole array; the others overwrite it only where the array has points in
+their regime, the two steps then run over the whole array, and the window
+and x = 0 points are restored only when the min and max say there can be
+any.  No point's result depends on the other points in its array.
+
 The principal branch W0 covers x >= -1/e with W0 >= -1; the lower branch
 W-1 covers -1/e <= x < 0 with W-1 <= -1.  Inputs up to 1e-15 below the
 branch point are clamped to -1/e rather than rejected, because quantile
@@ -97,55 +104,48 @@ def _refine(w, log_x):
     return w
 
 
-def _identity_residual(w, x):
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return np.abs(w * np.exp(w) - x) / np.maximum(np.abs(x), 1e-300)
-
-
 def _evaluate(x, branch):
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
-    if not np.all(np.isfinite(v)):
+    v = np.atleast_1d(arr)
+    if v.size == 0:
+        return WEvaluation(v.copy(), v.copy(), np.zeros(v.shape, dtype=np.int64))
+    lo, hi = float(v.min()), float(v.max())  # a NaN anywhere makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("lambert w: input must be finite")
-    if np.any(v < _BRANCH_POINT - _CLAMP_BELOW):
+    if lo < _BRANCH_POINT - _CLAMP_BELOW:
         raise DomainError(
-            "lambert w: x must be >= -1/e (%r); got %r" % (_BRANCH_POINT, float(v.min()))
+            "lambert w: x must be >= -1/e (%r); got %r" % (_BRANCH_POINT, lo)
         )
-    if branch is Branch.LOWER and np.any(v >= 0.0):
-        raise DomainError(
-            "w_lower: x must be < 0; got %r" % float(v.max())
-        )
-    v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
+    if branch is Branch.LOWER and hi >= 0.0:
+        raise DomainError("w_lower: x must be < 0; got %r" % hi)
+    if lo < _BRANCH_POINT:
+        v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
 
-    delta = v - _BRANCH_POINT  # = x + 1/e >= 0
-    with np.errstate(over="ignore"):  # p is only consumed near the branch point
-        p = np.sqrt(2.0 * math.e * delta)
-    if branch is Branch.LOWER:
-        p = -p
-
-    with np.errstate(divide="ignore"):  # ln 0 = -inf is never refined
+    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
         lx = np.log(np.abs(v))
-    w0 = np.empty_like(v)
-    if branch is Branch.PRINCIPAL:
-        r_exp = v < -0.27
-        r_log = v > math.e
-        r_mid = ~(r_exp | r_log)
-        w0[r_mid] = np.log1p(v[r_mid])
-        w0[r_log] = _asymptotic(lx[r_log])
-    else:
-        r_exp = v < -0.2
-        r_log = ~r_exp
-        w0[r_log] = lx[r_log] - np.log(-lx[r_log])
-    w0[r_exp] = _branch_expansion(p[r_exp])
-
-    # the expansion alone is already ~1e-12 accurate next to the branch point
-    refined = (delta > _EXPANSION_WINDOW) & (v != 0.0)
-    with np.errstate(all="ignore"):
-        w = np.where(refined, _refine(w0, lx), w0)
-    iters = np.where(refined, 2, 0)
-    res = _identity_residual(w, v)
-    if scalar:
+        # the bulk start covers the whole block; the others only where it has points
+        if branch is Branch.PRINCIPAL:
+            w0 = np.log1p(v)
+            if hi > math.e:
+                m = v > math.e
+                w0[m] = _asymptotic(lx[m])
+            split = -0.27
+        else:
+            w0 = lx - np.log(-lx)
+            split = -0.2
+        if lo < split:
+            m = v < split
+            p = np.sqrt(2.0 * math.e * (v[m] - _BRANCH_POINT))
+            w0[m] = _branch_expansion(p if branch is Branch.PRINCIPAL else -p)
+        w = _refine(w0, lx)
+        iters = np.full(v.shape, 2)
+        # the expansion alone is already ~1e-12 accurate next to the branch point
+        if lo - _BRANCH_POINT <= _EXPANSION_WINDOW or lo <= 0.0 <= hi:
+            keep = (v - _BRANCH_POINT <= _EXPANSION_WINDOW) | (v == 0.0)
+            w[keep] = w0[keep]
+            iters[keep] = 0
+        res = np.abs(w * np.exp(w) - v) / np.maximum(np.abs(v), 1e-300)
+    if arr.ndim == 0:
         return WEvaluation(float(w[0]), float(res[0]), int(iters[0]))
     return WEvaluation(w, res, iters)
 
@@ -197,26 +197,44 @@ def tree_t(x):
 
 
 _LOG_DIRECT = 700.0  # below this, exp(log_x) is representable and W0 is direct
+_LOG_EXACT = 1e300   # above this, the asymptotic start is W0 to double precision
+
+
+def _from_large_log(ell):
+    """W0(exp(ell)) for ell > 700: two steps on w + ln(w) = ell from the
+    asymptotic start, or that start alone above 1e300, where it is already
+    exact and 2(1 + w) inside a step would overflow."""
+    w = _asymptotic(ell)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(ell > _LOG_EXACT, w, _refine(w, ell))
 
 
 def w_principal_from_log(log_x):
-    """W0(exp(log_x)) without forming exp(log_x), safe for arbitrarily large log_x.
+    """W0(exp(log_x)) without forming exp(log_x), for any log_x below +inf.
 
     For log_x > 700 applies the same two Fritsch-Shafer-Crowley steps as
     w_principal, on w + ln(w) = log_x, from the asymptotic start
-    log_x - ln(log_x) + ln(log_x)/log_x; otherwise defers to w_principal.
-    Returns the value only (no residual metadata) -- this is plumbing for
-    quantile formulas whose W argument overflows double precision.
+    log_x - ln(log_x) + ln(log_x)/log_x; above 1e300 that start is already
+    exact to double precision and is returned as it is.  Otherwise defers
+    to w_principal on exp(log_x), so log_x = -inf gives W0(0) = 0.  NaN and
+    +inf raise DomainError.  Returns the value only (no residual metadata)
+    -- this is plumbing for quantile formulas whose W argument overflows
+    double precision.
     """
     arr = np.asarray(log_x, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(v)
-    small = v <= _LOG_DIRECT
-    if small.any():
+    v = np.atleast_1d(arr)
+    if v.size == 0:
+        return v.copy()
+    lo, hi = float(v.min()), float(v.max())  # a NaN anywhere makes both NaN
+    if math.isnan(lo) or hi == math.inf:
+        raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
+                          % (lo if math.isnan(lo) else hi))
+    if hi <= _LOG_DIRECT:
+        out = _evaluate(np.exp(v), Branch.PRINCIPAL).value
+    else:
+        out = np.empty_like(v)
+        small = v <= _LOG_DIRECT
         out[small] = _evaluate(np.exp(v[small]), Branch.PRINCIPAL).value
-    big = ~small
-    if big.any():
-        ell = v[big]
-        out[big] = _refine(_asymptotic(ell), ell)
-    return float(out[0]) if scalar else out
+        big = ~small
+        out[big] = _from_large_log(v[big])
+    return float(out[0]) if arr.ndim == 0 else out

@@ -293,6 +293,22 @@ def test_gompertz_makeham_tiny_u_relative_error():
             assert abs(t - ref) <= 1e-11 * ref, (spec.params, u, t, ref)
 
 
+def test_gompertz_makeham_huge_w_argument_is_certified():
+    # ln A = ln(b/a) + (b + c L(u))/a is about 1e308 here: W0 comes from
+    # w_principal_from_log's asymptotic start and the quantile is certified
+    spec = validate("gompertz_makeham", a=1e-308, b=1.0, c=1.0)
+    q = quantile(spec, 0.5)
+    assert math.isfinite(q.t) and spec.support[0] <= q.t
+    assert q.roundtrip_residual <= 1e-12
+
+
+def test_gompertz_makeham_overflowing_w_argument_is_rejected():
+    # ln A overflows to +inf in the closed form: a typed error, never NaN
+    spec = validate("gompertz_makeham", a=1e-307, b=1.0, c=1.0)
+    with pytest.raises(DomainError):
+        quantile(spec, 1.0 - 1e-12)
+
+
 def test_gompertz_makeham_dual_forms_agree():
     u = GRID99
     for spec in reference_specs("gompertz_makeham"):

@@ -256,6 +256,62 @@ def test_tree_domain_error():
 
 
 # ---------------------------------------------------------------------------
+# batch independence: each start is built only where the block has points in
+# its regime, so a point's result must not depend on its neighbours
+
+PRINCIPAL_MIX = np.array([
+    BRANCH_POINT - 5e-16, BRANCH_POINT, BRANCH_POINT + 1e-7,  # clamp, window
+    BRANCH_POINT + 1e-5, BRANCH_POINT + 2e-5,                 # window edge
+    -0.3, np.nextafter(-0.27, -1.0), -0.27, -0.26,            # -0.27 split
+    -0.2, -1e-300, -0.0, 0.0, 5e-324, 1e-10, 0.5, 1.0,
+    np.nextafter(E, 0.0), E, np.nextafter(E, 3.0), 10.0,      # e split
+    1e10, 1e300, np.finfo(float).max,
+])
+LOWER_MIX = np.array([
+    BRANCH_POINT - 5e-16, BRANCH_POINT, BRANCH_POINT + 1e-7,
+    BRANCH_POINT + 1e-5, BRANCH_POINT + 2e-5, -0.3,
+    np.nextafter(-0.2, -1.0), -0.2, np.nextafter(-0.2, 0.0),  # -0.2 split
+    -0.1, -1e-10, -1e-300, -5e-324,
+])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("w, x", [(w_principal, PRINCIPAL_MIX), (w_lower, LOWER_MIX)],
+                         ids=["principal", "lower"])
+def test_each_array_element_equals_its_scalar_evaluation(w, x):
+    batch = w(x)
+    assert set(batch.iterations.tolist()) == {0, 2}
+    for i, xi in enumerate(x):
+        one = w(float(xi))
+        assert _bits(batch.value[i]) == _bits(one.value), xi
+        assert _bits(batch.residual[i]) == _bits(one.residual), xi
+        assert batch.iterations[i] == one.iterations, xi
+
+
+@pytest.mark.parametrize("w, x", [(w_principal, PRINCIPAL_MIX), (w_lower, LOWER_MIX)],
+                         ids=["principal", "lower"])
+def test_two_dimensional_input_keeps_its_shape(w, x):
+    grid = np.stack([x, x[::-1]])
+    out, flat = w(grid), w(grid.ravel())
+    for field in ("value", "residual", "iterations"):
+        assert getattr(out, field).shape == grid.shape
+        assert _bits(getattr(out, field).ravel()) == _bits(getattr(flat, field))
+
+
+def test_empty_arrays_give_empty_results():
+    empty = np.array([])
+    for w in (w_principal, w_lower):
+        out = w(empty)
+        assert out.value.shape == out.residual.shape == out.iterations.shape == (0,)
+        assert out.iterations.dtype == np.int64
+    assert tree_t(empty).shape == (0,)
+    assert w_principal_from_log(empty).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # log-domain evaluation
 
 def test_from_log_matches_direct_for_moderate_inputs():
@@ -276,3 +332,28 @@ def test_from_log_monotone():
     lx = np.linspace(-50.0, 5000.0, 10001)
     w = w_principal_from_log(lx)
     assert np.all(np.diff(w) > 0)
+
+
+def test_from_log_is_finite_up_to_the_largest_double():
+    # 2(1 + w) inside a refinement step overflows above ~9e307; there the
+    # asymptotic start is already exact, so w + ln w = L holds to the last bit
+    lx = np.array([1e300, 1e305, 9e307, np.finfo(float).max])
+    w = w_principal_from_log(lx)
+    assert np.all(np.isfinite(w))
+    assert np.all(w + np.log(w) == lx)
+    assert math.isfinite(w_principal_from_log(np.finfo(float).max))
+
+
+def test_from_log_elements_equal_their_scalar_evaluation():
+    lx = np.array([-np.inf, -800.0, 0.0, 700.0, np.nextafter(700.0, 800.0), 3e4, 1e300, 1e305])
+    batch = w_principal_from_log(lx)
+    assert batch[0] == 0.0
+    for i, li in enumerate(lx):
+        assert _bits(batch[i]) == _bits(w_principal_from_log(float(li))), li
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, math.nan], [-math.inf, math.inf]],
+                         ids=["nan", "inf", "nan-in-array", "inf-in-array"])
+def test_from_log_rejects_nan_and_plus_inf(bad):
+    with pytest.raises(DomainError):
+        w_principal_from_log(bad)

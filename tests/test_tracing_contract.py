@@ -10,9 +10,11 @@ run's JSON line carries a bare NaN.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import lambertq
 import lambertq.cli  # noqa: F401  (cli_targets wraps its attributes)
-from lambertq import invert, sampling, validate
+from lambertq import WEvaluation, families, invert, sampling, validate
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,3 +76,34 @@ def test_sample_of_a_numeric_set_goes_through_invert_cdf(monkeypatch):
     calls = _count_sampler_calls(monkeypatch)
     lambertq.sample(validate("xie_lai3", a=1.0, b=2.0, c=1.0), 100, seed=1)
     assert calls == {"counter_uniforms": 1, "invert_cdf": 1}
+
+
+def test_sample_of_a_w0_set_calls_w_principal_once_per_block(monkeypatch):
+    # the tracer's W note reads np.sum(out.iterations) and np.max(out.residual)
+    seen = []
+    w_principal = families.w_principal
+
+    def recording(x):
+        out = w_principal(x)
+        seen.append((np.shape(x), out))
+        return out
+
+    monkeypatch.setattr(families, "w_principal", recording)
+    n = 2 * sampling._BLOCK + 17
+    lambertq.sample(validate("lai_weibull3", a=1.0, b=1.0, c=1.0), n, seed=1)
+    assert len(seen) == 3 and sum(shape[0] for shape, _ in seen) == n
+    for shape, out in seen:
+        assert len(shape) == 1 and shape[0] <= sampling._BLOCK
+        assert isinstance(out, WEvaluation)
+        assert out.iterations.shape == out.residual.shape == shape
+
+
+def test_sample_of_gompertz_makeham_goes_through_w_principal_from_log(monkeypatch):
+    calls = {"w_principal_from_log": 0, "w_principal": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(families, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(families, name, counting)
+    lambertq.sample(validate("gompertz_makeham", a=1.0, b=1.0, c=1.0), 100, seed=1)
+    assert calls == {"w_principal_from_log": 1, "w_principal": 0}

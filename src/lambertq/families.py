@@ -854,24 +854,31 @@ def _h_gompertz_makeham(t, p):
     return p["a"] * t + (p["b"] / p["c"]) * np.expm1(p["c"] * t)
 
 
-def _gm_w(u, p):
-    """W(A) with A = (b/a) * exp((b - c ln(1-u))/a), evaluated from ln(A)."""
+def _gm_log_arg(l_u, p):
+    """ln A for the Lambert W argument A = (b/a) * exp((b + c L(u))/a)."""
     a, b, c = p["a"], p["b"], p["c"]
-    log_arg = math.log(b / a) + (b + c * _L(u)) / a
-    return w_principal_from_log(log_arg)
+    return math.log(b / a) + (b + c * l_u) / a
 
 
 def _q_gompertz_makeham(u, p):
     # final catalogued form: t = (1/c) ln[(a/b) W(A)].  Its outer log cancels
     # where c t is small; there one Newton step on a t + (b/c) expm1(c t) = L(u)
-    # from t0 = L(u)/(a + b) is exact to about (c t)^3/8 relative
+    # from t0 = L(u)/(a + b) is exact to about (c t)^3/8 relative.  Where ln A
+    # overflows, a t lies below the last bit of L(u), and t is the a -> 0 limit
+    # ln(1 + c L(u)/b)/c, taken in logs because c L(u)/b may overflow too
     a, b, c = p["a"], p["b"], p["c"]
-    t = np.asarray((np.log(_gm_w(u, p)) + math.log(a / b)) / c)
+    l_u = np.asarray(_L(u))
+    log_arg = _gm_log_arg(l_u, p)
+    over = ~np.isfinite(log_arg)
+    t = np.asarray((np.log(w_principal_from_log(np.where(over, 0.0, log_arg)))
+                    + math.log(a / b)) / c)
+    if over.any():
+        t[over] = np.logaddexp(0.0, math.log(c) - math.log(b) + np.log(l_u[over])) / c
     small = c * t < 1e-4
     if small.any():
-        l_u = _L(np.asarray(u)[small])
-        t0 = l_u / (a + b)
-        t[small] = t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_u) / (a + b * np.exp(c * t0))
+        l_s = l_u[small]
+        t0 = l_s / (a + b)
+        t[small] = t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_s) / (a + b * np.exp(c * t0))
     return t[()]
 
 
@@ -890,7 +897,7 @@ def gm_subtractive_quantile(spec, u):
     _check_u_open(v, spec)
     p = spec.params
     a, c = p["a"], p["c"]
-    t = (p["b"] + c * _L(v)) / (a * c) - _gm_w(v, p) / c
+    t = (p["b"] + c * _L(v)) / (a * c) - w_principal_from_log(_gm_log_arg(_L(v), p)) / c
     return float(t[0]) if scalar else t
 
 
@@ -1094,19 +1101,27 @@ def _sf(fam, t, p):
 
 
 def survival(spec, t):
-    """SF(t) = P(X > t); clamps to 1 below the support and 0 at/above hi."""
+    """SF(t) = P(X > t); clamps to 1 below the support and 0 at/above hi.
+
+    When one min and one max put every t inside [lo, hi), the SF is evaluated
+    on the whole array; else (a NaN makes the min NaN) on the inside points
+    alone, with the rest filled, so a NaN t never reaches the family's formula.
+    """
     fam = family_info(spec.family)
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     v = np.atleast_1d(arr).astype(float)
     lo, hi = spec.support
-    out = np.full(v.shape, np.nan)
-    inside = (v >= lo) & (v < hi)
     with np.errstate(all="ignore"):
-        if inside.any():
-            out[inside] = np.clip(_sf(fam, v[inside], spec.params), 0.0, 1.0)
-    out[v < lo] = 1.0
-    out[v >= hi] = 0.0
+        if v.size and lo <= v.min() and v.max() < hi:
+            out = np.minimum(np.maximum(0.0, _sf(fam, v, spec.params)), 1.0)
+        else:
+            out = np.full(v.shape, np.nan)
+            inside = (v >= lo) & (v < hi)
+            if inside.any():
+                out[inside] = np.clip(_sf(fam, v[inside], spec.params), 0.0, 1.0)
+            out[v < lo] = 1.0
+            out[v >= hi] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -1116,9 +1131,12 @@ def cdf(spec, t):
 
 
 def _check_u_open(v, spec):
-    if not (np.all(v > 0.0) and np.all(v < 1.0)):
+    if v.size == 0:
+        return
+    v_min, v_max = v.min(), v.max()
+    if not (v_min > 0.0 and v_max < 1.0):  # a NaN makes both fail
         raise DomainError("quantile: u must lie strictly inside (0, 1)")
-    if spec.u_max < 1.0 and np.any(v >= spec.u_max):
+    if v_max >= spec.u_max:
         raise DomainError(
             "%s: defective for these parameters -- survival mass %r remains at "
             "infinity, so u must stay below u_max = %r"

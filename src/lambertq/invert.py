@@ -5,13 +5,16 @@ It solves ln H(t) = ln(-ln(1 - u)), H = -ln SF, in y = log2(t - lo) (y = t
 on a two-sided support), where the equation is nearly linear for power-law
 hazards.  ln H is the log of the family's own cumulative hazard, which stays
 exact where SF rounds to 1; only the ten families that store their survival
-function instead go through -ln SF.  One pass over a ladder of rungs, t - lo
-doubling from rung to rung, brackets every u; Chandrupatla's method (Adv.
-Eng. Softw. 28(3), 1997) then evaluates H on the still active points alone.
+function instead go through -ln SF.  A ladder of rungs, t - lo doubling from
+rung to rung, brackets every u; ln H on it does not depend on u, so it is
+evaluated once per parameter set and cached, and a call runs one binary
+search over it.  Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) then
+evaluates H on the still active points alone.
 Each returned t is certified by its roundtrip residual |F(t) - u|.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,32 +29,52 @@ _EPS = np.finfo(float).eps
 _Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 
 
+def _log_h(fam, params, hi, t):
+    """ln H(t); a NaN hazard or survival, and t at or past a finite hi, count as past the root."""
+    if fam.hazard is not None:
+        out = np.log(fam.hazard(t, params))
+    else:  # H = -ln SF, which loses H where SF rounds to 1
+        out = np.log(-np.log(np.minimum(fam.sf(t, params), 1.0)))
+    if math.isfinite(hi):
+        out[t >= hi] = np.inf  # H is infinite there by definition
+    return np.fmin(out, np.inf)
+
+
+def _to_t(lo):
+    return (lambda y: lo + np.exp2(y)) if math.isfinite(lo) else (lambda y: y)
+
+
+@lru_cache(maxsize=128)
+@np.errstate(all="ignore")
+def _ladder(family, bits, support):
+    """Read-only rungs y and the running maximum of ln H on them, which need no u; the
+    key holds each parameter's exact bits (``float.hex``), so 0.0 and -0.0 part ways."""
+    lo, hi = (float.fromhex(h) for h in support)
+    if math.isfinite(lo):
+        top = (math.log2(hi - lo) if math.isfinite(hi)
+               else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
+        rungs = top - np.arange(int(top - _Y_FLOOR), -1, -1)
+    else:
+        rungs = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
+        rungs = np.concatenate([-rungs[::-1], rungs])
+    params = {k: float.fromhex(h) for k, h in bits}
+    at = _log_h(family_info(family), params, hi, _to_t(lo)(rungs))
+    at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
+    np.maximum.accumulate(at, out=at)
+    rungs.flags.writeable = at.flags.writeable = False
+    return rungs, at
+
+
 @np.errstate(all="ignore")
 def _bracketed_root(spec, u):
     """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps."""
     fam, params = family_info(spec.family), spec.params
     lo, hi = spec.support
-
-    def log_h(t):
-        if fam.hazard is not None:
-            out = np.log(fam.hazard(t, params))
-        else:  # H = -ln SF, which loses H where SF rounds to 1
-            out = np.log(-np.log(np.minimum(fam.sf(t, params), 1.0)))
-        out[t >= hi] = np.inf  # H is infinite there by definition
-        return np.fmin(out, np.inf)  # a NaN hazard or survival counts as past the root
-
-    if math.isfinite(lo):
-        top = (math.log2(hi - lo) if math.isfinite(hi)
-               else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
-        rungs = top - np.arange(int(top - _Y_FLOOR), -1, -1)
-        to_t = lambda y: lo + np.exp2(y)  # noqa: E731
-    else:
-        rungs = 2.0 ** np.arange(_MAX_DOUBLINGS + 1)
-        rungs, to_t = np.concatenate([-rungs[::-1], rungs]), lambda y: y
+    to_t, log_h = _to_t(lo), lambda t: _log_h(fam, params, hi, t)
+    rungs, at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in params.items()),
+                        (float(lo).hex(), float(hi).hex()))
     log_l = np.log(-np.log1p(-u))
-    at = log_h(to_t(rungs))
-    at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
-    j = np.maximum(np.searchsorted(np.maximum.accumulate(at, out=at), log_l), 1)
+    j = np.maximum(np.searchsorted(at, log_l), 1)
     if (j == at.size).any():
         raise BracketError(
             "%s: no upper bracket for u up to %r after %d doublings (survival mass may "
@@ -59,15 +82,16 @@ def _bracketed_root(spec, u):
 
     # state rows: x1 f1 the newest point, x2 f2 the bracket's other edge, x3 f3 the edge dropped
     ga, gb = at[j - 1] - log_l, at[j] - log_l
-    state = np.stack([rungs[j - 1], ga, rungs[j], gb, rungs[j], gb])
+    state = np.array([rungs[j - 1], ga, rungs[j], gb, rungs[j], gb])
     ends, idx = state[:4].copy(), np.arange(u.shape[0])
-    tau = np.nan_to_num(ga / (ga - gb), nan=0.5, posinf=0.5, neginf=0.5)  # the secant point
+    tau = ga / (ga - gb)  # the secant point, or the midpoint where that is not finite
+    tau = np.where(np.isfinite(tau), tau, 0.5)
     for _ in range(_MAX_STEPS):
         if idx.size == 0:
             break
         x1, f1, x2 = state[:3]
         tl = np.minimum(2.0 * _EPS * (np.abs(x1) + 1.0) / np.abs(x2 - x1), 0.5)
-        x = x1 + np.clip(tau, tl, 1.0 - tl) * (x2 - x1)  # a few ulp off the edges
+        x = x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * (x2 - x1)  # a few ulp off the edges
         t = to_t(x)
         f = log_h(t) - log_l
         keep = (f < 0.0) == (f1 < 0.0)

@@ -30,7 +30,7 @@ from lambertq import (
     validate,
     wl_hazard,
 )
-from lambertq.families import _w0, has_analytic_quantile
+from lambertq.families import _check_u_open, _w0, has_analytic_quantile
 
 NUMERIC_ONLY = {"additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3"}
 
@@ -245,6 +245,89 @@ def test_sf_bounds_at_support_edges_all_refsets():
             assert survival(spec, t_hi) <= 1e-9, spec.family
 
 
+def _inside_points(spec):
+    # t inside the support, from the deep lower tail to the deep upper tail
+    u = np.concatenate([[2.0 ** -54, 1e-12], np.linspace(0.01, 0.99, 21), [1.0 - 2.0 ** -53]])
+    if has_analytic_quantile(spec.family):
+        return quantile_values(spec, u)
+    return numeric_quantile(spec, u, tol=1e-9).t
+
+
+def test_all_inside_array_gives_the_bits_of_the_masked_path():
+    # one NaN sends the whole array down the masked path; the inside points
+    # must come out as from the one-gate path, and as one-point calls
+    for spec in all_refspecs():
+        t = _inside_points(spec)
+        lo, hi = spec.support
+        t = t[(lo <= t) & (t < hi)]
+        for fn in (survival, cdf):
+            whole = fn(spec, t)
+            masked = fn(spec, np.append(t, math.nan))
+            assert whole.tobytes() == masked[:-1].tobytes(), (spec.family, spec.params)
+            assert math.isnan(masked[-1])
+            points = np.array([fn(spec, float(x)) for x in t])
+            assert whole.tobytes() == points.tobytes(), (spec.family, spec.params)
+
+
+def test_mixed_array_fills_outside_points_and_nan():
+    for spec in all_refspecs():
+        lo, hi = spec.support
+        mid = _inside_points(spec)[11]
+        below = lo - 1.0 if math.isfinite(lo) else -math.inf
+        t = np.array([below, mid, math.nan, hi, np.nextafter(hi, math.inf), mid])
+        s = survival(spec, t)
+        assert s[0] == 1.0 and s[3] == 0.0 and s[4] == 0.0, (spec.family, spec.params)
+        assert math.isnan(s[2])
+        assert s[1] == s[5] == survival(spec, mid)
+        np.testing.assert_array_equal(cdf(spec, t), 1.0 - s)
+
+
+def test_empty_and_zero_dimensional_inputs():
+    spec = validate("weibull2", a=1.0, b=2.0)
+    for fn in (survival, cdf):
+        out = fn(spec, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert type(fn(spec, np.array(0.5))) is float
+        assert type(fn(spec, 0.5)) is float
+
+
+def test_mod_lognormal_nan_gives_nan_without_raising():
+    # its SF raises DomainError on NaN, so a NaN must never reach it
+    spec = reference_specs("mod_lognormal")[0]
+    assert math.isnan(survival(spec, math.nan))
+    out = cdf(spec, np.array([0.5, math.nan, 1.0]))
+    assert math.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("u,message", [
+    (np.array([]), None),
+    (np.array([0.3, 0.7]), None),
+    (np.array(0.3), None),
+    (np.array([0.3, math.nan]), "strictly inside"),
+    (np.array([0.0, 0.5]), "strictly inside"),
+    (np.array([0.5, 1.0]), "strictly inside"),
+    (np.array(1.0), "strictly inside"),
+    (np.array([1e-300, 1.0 - 2.0 ** -53]), None),
+])
+def test_u_check_outcomes(u, message):
+    spec = validate("weibull2", a=1.0, b=2.0)
+    if message is None:
+        _check_u_open(u, spec)
+    else:
+        with pytest.raises(DomainError, match=message):
+            _check_u_open(u, spec)
+
+
+def test_u_check_outcomes_at_u_max():
+    spec = validate("gompertz2", a=1.0, b=-1.0)
+    _check_u_open(np.array([np.nextafter(spec.u_max, 0.0)]), spec)
+    for u in (spec.u_max, 0.99):
+        with pytest.raises(DomainError, match="u_max"):
+            _check_u_open(np.array([0.1, u]), spec)
+    with pytest.raises(DomainError, match="strictly inside"):
+        _check_u_open(np.array([math.nan]), spec)
+
+
 # ---------------------------------------------------------------------------
 # analytic quantiles
 
@@ -302,11 +385,23 @@ def test_gompertz_makeham_huge_w_argument_is_certified():
     assert q.roundtrip_residual <= 1e-12
 
 
-def test_gompertz_makeham_overflowing_w_argument_is_rejected():
-    # ln A overflows to +inf in the closed form: a typed error, never NaN
+def test_gompertz_makeham_overflowing_w_argument_is_certified():
+    # ln A = ln(b/a) + (b + c L(u))/a overflows to +inf in the closed form;
+    # there a t lies below the last bit of L(u), and the quantile is the
+    # a -> 0 limit ln(1 + c L/b)/c.  At a = 1e-308, ln A overflows for u above
+    # about 0.55 only, so one array mixes both routes
+    u = np.concatenate([[2.0 ** -54, 1e-12], GRID99, [1.0 - 1e-12, 1.0 - 2.0 ** -53]])
+    limit = np.log1p(-np.log1p(-u))
+    for a in (1e-307, 1e-308, 5e-324):
+        spec = validate("gompertz_makeham", a=a, b=1.0, c=1.0)
+        q = quantile(spec, u)
+        assert np.isfinite(q.t).all() and (q.t >= 0.0).all(), a
+        assert q.roundtrip_residual.max() <= 1e-12, a
+        assert np.all(np.diff(q.t) > 0.0), a
+        upper = u >= (0.6 if a == 1e-308 else 1.0 - 1e-12)
+        np.testing.assert_allclose(q.t[upper], limit[upper], rtol=4e-16, atol=0.0)
     spec = validate("gompertz_makeham", a=1e-307, b=1.0, c=1.0)
-    with pytest.raises(DomainError):
-        quantile(spec, 1.0 - 1e-12)
+    assert quantile(spec, 1.0 - 1e-12).t == pytest.approx(3.354491557073235, rel=1e-15)
 
 
 def test_gompertz_makeham_dual_forms_agree():

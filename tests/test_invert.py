@@ -18,9 +18,10 @@ from lambertq import (
     numeric_quantile,
     quantile_values,
     reference_specs,
+    sample,
     validate,
 )
-from lambertq import families
+from lambertq import families, invert
 
 NUMERIC_ONLY = ("additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3")
 # phani5 with an infinite density at t = a: next to a, F moves by more than
@@ -188,3 +189,75 @@ def test_inverter_calls_survival_a_bounded_number_of_times(monkeypatch):
     t = invert_cdf(spec, u, tol=1e-12)
     assert len(calls) <= 10, len(calls)
     assert np.all(np.diff(t[np.argsort(u)]) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the rung ladder, computed once per parameter set
+
+
+@pytest.fixture
+def ladder():
+    # the cache is keyed on the family's name, so a test that patches a family
+    # must neither find a ladder from before nor leave one behind
+    invert._ladder.cache_clear()
+    yield invert._ladder
+    invert._ladder.cache_clear()
+
+
+def _ladder_key(spec):
+    return (spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
+            tuple(float(x).hex() for x in spec.support))
+
+
+def test_two_calls_on_one_set_evaluate_the_ladder_once(monkeypatch, ladder):
+    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
+    fam = families.family_info("xie_lai3")
+    sizes = []
+
+    def counting_hazard(t, p):
+        sizes.append(np.size(t))
+        return fam.hazard(t, p)
+
+    monkeypatch.setitem(families._FAMILIES, "xie_lai3",
+                        dataclasses.replace(fam, hazard=counting_hazard))
+    first = numeric_quantile(spec, 0.3)
+    second = numeric_quantile(spec, 0.7)
+    rungs, _ = ladder(*_ladder_key(spec))
+    assert sizes.count(rungs.size) == 1, sizes
+    assert first.roundtrip_residual <= 1e-12 and second.roundtrip_residual <= 1e-12
+
+
+def test_cached_ladder_is_read_only(ladder):
+    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
+    numeric_quantile(spec, 0.3)
+    for arr in ladder(*_ladder_key(spec)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_cold_cache_gives_the_bits_of_a_fresh_evaluation(ladder):
+    u = np.concatenate([[2.0 ** -54, 1e-12], np.linspace(0.01, 0.99, 25), [1.0 - 2.0 ** -53]])
+    for name in NUMERIC_ONLY:
+        for spec in reference_specs(name):
+            ladder.cache_clear()
+            cold = invert._bracketed_root(spec, u.copy())
+            warm = invert._bracketed_root(spec, u.copy())
+            assert cold.tobytes() == warm.tobytes(), (name, spec.params)
+            for cached, fresh in zip(ladder(*_ladder_key(spec)),
+                                     ladder.__wrapped__(*_ladder_key(spec))):
+                assert cached.tobytes() == fresh.tobytes(), (name, spec.params)
+
+
+def test_signed_zero_parameters_do_not_share_a_ladder(ladder):
+    for a in (0.0, -0.0):
+        numeric_quantile(validate("xie_lai3", a=a, b=3.0, c=1.0), 0.3)
+    assert ladder.cache_info().currsize == 2
+
+
+def test_threaded_sampling_from_a_cold_cache_matches_serial(ladder):
+    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
+    threaded = sample(spec, 3 * 2 ** 14 + 5, seed=11, workers=2).values
+    ladder.cache_clear()
+    serial = sample(spec, 3 * 2 ** 14 + 5, seed=11, workers=1).values
+    assert threaded.tobytes() == serial.tobytes()

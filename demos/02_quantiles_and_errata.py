@@ -2,8 +2,8 @@
 Quantile functions and the formula-verification report
 =======================================================
 
-Each distribution family is registered with its survival function and,
-where one exists, a closed-form quantile.  Every closed form has been
+Each distribution family is registered with its cumulative hazard
+H = -ln SF and, where one exists, a closed-form quantile.  Every closed form has been
 machine-checked against the family's own CDF; the errata report records
 which catalogued formulas survived and which needed correction.
 """

@@ -7,8 +7,7 @@ everything else the numeric inverter serves as an independent oracle
 that the analytic formulas are checked against.  It solves
 ln H(t) = ln(-ln(1 - u)) for the cumulative hazard H = -ln SF, in the
 coordinate log2(t - lo) where that equation is nearly linear.  ln H comes
-from the family's own H (from -ln SF only for the ten families that store
-their survival function instead): one pass of H over a ladder of doubling
+from the family's own H: one pass of H over a ladder of doubling
 distances from the support edge brackets every u, and Chandrupatla's
 method (inverse quadratic interpolation, safeguarded by bisection) closes
 each bracket.

@@ -1,14 +1,12 @@
 """Registry of 28 lifetime distribution families.
 
 Each family carries parameter constraints, support, a closed-form
-quantile where one exists, and either its cumulative hazard H(t) =
--ln SF(t) (18 families) or, for the ten exponentiated, ratio and power
-forms that have no H written yet, its survival function.  ``survival``
-derives SF = exp(-H) in one place, and the numeric inverter reads ln H
-from the family's own H.  Fourteen quantiles are elementary closed forms,
-ten involve the principal branch of the Lambert W function, and four
-families have no analytic inverse at all (callers use the numeric
-inverter for those).
+quantile where one exists, and its cumulative hazard H(t) = -ln SF(t),
+its one representation of the distribution.  ``survival`` derives
+SF = exp(-H) in one place, and the numeric inverter reads ln H from the
+same H.  Fourteen quantiles are elementary closed forms, ten involve the
+principal branch of the Lambert W function, and four families have no
+analytic inverse at all (callers use the numeric inverter for those).
 
 Six catalogued closed forms do not actually invert their own CDF (wrong
 prefactor, swapped symbols, survival function inverted instead of the
@@ -19,10 +17,12 @@ used for evaluation).  The two are never silently merged; the harness
 measures both and reports the discrepancy.
 
 Formulas are evaluated with ``log1p``/``expm1`` throughout, and a term
-1 - u^r that is only ever logged is carried as ln(1 - u^r) (``_log1mexp``),
-so roundtrip residuals |F(Q(u)) - u| stay near machine precision across
-the u range, and a Lambert W argument that is negative or NaN raises
-DomainError (the principal branch is single-valued only on [0, inf)).
+1 - u^r or 1 - e^x that is only ever logged is carried as its logarithm
+(``_log1mexp``), in the quantiles and the hazards alike.  So roundtrip
+residuals |F(Q(u)) - u| stay near machine precision across the u range,
+including the tails where F or SF would round to 0 or 1, and a Lambert W
+argument that is negative or NaN raises DomainError (the principal branch
+is single-valued only on [0, inf)).
 """
 
 import math
@@ -117,11 +117,7 @@ class Family:
     support: Callable                    # params -> (lo, hi)
     support_desc: str
     quantile: Optional[Callable]         # (u array, params) -> t array; None => numeric only
-    # exactly one of the two below: the cumulative hazard H = -ln SF where the
-    # family has one, else the survival function itself; both take
-    # (t array inside the support, params)
-    hazard: Optional[Callable] = None
-    sf: Optional[Callable] = None
+    hazard: Callable                     # (t array inside the support, params) -> H = -ln SF
     printed_quantile: Optional[Callable] = None  # catalogued form when it differs
     corrected: bool = False
     note: str = ""
@@ -294,9 +290,9 @@ _register(Family(
 ))
 
 
-def _sf_exp_weibull(t, p):
-    inner = -np.expm1(-p["a"] * t ** p["b"])  # 1 - exp(-a t^b)
-    return -np.expm1(p["c"] * np.log(inner))
+def _h_exp_weibull(t, p):
+    # SF = 1 - inner^c with inner = 1 - exp(-a t^b)
+    return -_log1mexp(p["c"] * _log1mexp(-p["a"] * t ** p["b"]))
 
 
 def _q_exp_weibull(u, p):
@@ -311,7 +307,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("exp_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_exp_weibull,
+    hazard=_h_exp_weibull,
     quantile=_q_exp_weibull,
 ))
 
@@ -348,9 +344,9 @@ _register(Family(
 ))
 
 
-def _sf_exp_inv_weibull(t, p):
-    inner = -np.expm1(-p["a"] * t ** -p["c"])  # 1 - exp(-a t^-c)
-    return np.exp(p["b"] * np.log(inner))
+def _h_exp_inv_weibull(t, p):
+    # SF = inner^b with inner = 1 - exp(-a t^-c)
+    return -p["b"] * _log1mexp(-p["a"] * t ** -p["c"])
 
 
 def _q_exp_inv_weibull(u, p):
@@ -365,14 +361,14 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("exp_inv_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="(0, inf)",
-    sf=_sf_exp_inv_weibull,
+    hazard=_h_exp_inv_weibull,
     quantile=_q_exp_inv_weibull,
 ))
 
 
-def _sf_gen_weibull(t, p):
-    inner = np.maximum(1.0 - p["a"] * p["c"] * t ** p["b"], 0.0)
-    return inner ** (1.0 / p["c"])
+def _h_gen_weibull(t, p):
+    # SF = (1 - a c t^b)^(1/c), zero from the endpoint on
+    return -np.log1p(-np.minimum(p["a"] * p["c"] * t ** p["b"], 1.0)) / p["c"]
 
 
 def _q_gen_weibull(u, p):
@@ -389,15 +385,16 @@ _register(Family(
     # the survival function hits zero where a*c*t^b = 1, i.e. t = (a c)^(-1/b)
     support=lambda p: (0.0, (p["a"] * p["c"]) ** (-1.0 / p["b"])),
     support_desc="[0, (a*c)^(-1/b))",
-    sf=_sf_gen_weibull,
+    hazard=_h_gen_weibull,
     quantile=_q_gen_weibull,
 ))
 
 
-def _sf_ext_weibull(t, p):
-    a = p["a"]
-    e = np.exp(-((p["b"] * t) ** p["c"]))
-    return a * e / (1.0 - (1.0 - a) * e)
+def _h_ext_weibull(t, p):
+    # SF = a e / (1 - (1-a) e) with e = exp(-x), x = (b t)^c, so
+    # H = ln(1 + (e^x - 1)/a): no cancellation for any a, and infinite only
+    # from x = 709.8 on, where SF < a e^-709.8
+    return np.log1p(np.expm1((p["b"] * t) ** p["c"]) / p["a"])
 
 
 def _q_ext_weibull(u, p):
@@ -420,7 +417,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("ext_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_ext_weibull,
+    hazard=_h_ext_weibull,
     quantile=_q_ext_weibull,
     printed_quantile=_q_ext_weibull_printed,
     corrected=True,
@@ -453,8 +450,9 @@ _register(Family(
 ))
 
 
-def _sf_odd_weibull(t, p):
-    return 1.0 / (1.0 + np.expm1(p["a"] * t ** p["b"]) ** p["c"])
+def _h_odd_weibull(t, p):
+    # SF = 1 / (1 + (exp(a t^b) - 1)^c)
+    return np.log1p(np.expm1(p["a"] * t ** p["b"]) ** p["c"])
 
 
 def _q_odd_weibull(u, p):
@@ -469,7 +467,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c")("odd_weibull", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_odd_weibull,
+    hazard=_h_odd_weibull,
     quantile=_q_odd_weibull,
 ))
 
@@ -503,11 +501,11 @@ _register(Family(
 ))
 
 
-def _sf_exp_kum_weibull5(t, p):
-    g = -np.expm1(-p["d"] * t ** p["e"])          # 1 - exp(-d t^e)
-    h = np.exp(p["a"] * np.log(g))                # g^a
-    inner = -np.expm1(p["b"] * np.log1p(-h))      # 1 - (1-h)^b
-    return -np.expm1(p["c"] * np.log(inner))     # 1 - inner^c
+def _h_exp_kum_weibull5(t, p):
+    # SF = 1 - inner^c, inner = 1 - (1-h)^b, h = g^a, g = 1 - exp(-d t^e)
+    log_g = _log1mexp(-p["d"] * t ** p["e"])
+    log_inner = _log1mexp(p["b"] * _log1mexp(p["a"] * log_g))
+    return -_log1mexp(p["c"] * log_inner)
 
 
 def _ekw5_chain(log_s1, p):
@@ -534,7 +532,7 @@ _register(Family(
     check=lambda p: _pos("a", "b", "c", "d", "e")("exp_kum_weibull5", p),
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_exp_kum_weibull5,
+    hazard=_h_exp_kum_weibull5,
     quantile=_q_exp_kum_weibull5,
     printed_quantile=_q_exp_kum_weibull5_printed,
     corrected=True,
@@ -586,8 +584,9 @@ _register(Family(
 ))
 
 
-def _sf_inv_mod_weibull(t, p):
-    return -np.expm1(-((p["a"] / t) ** p["b"]) * np.exp(p["c"] / t))
+def _h_inv_mod_weibull(t, p):
+    # SF = 1 - exp(-(a/t)^b e^(c/t))
+    return -_log1mexp(-((p["a"] / t) ** p["b"]) * np.exp(p["c"] / t))
 
 
 def _q_inv_mod_weibull(u, p):
@@ -612,7 +611,7 @@ _register(Family(
     check=_check_inv_mod_weibull,
     support=lambda p: (0.0, _INF),
     support_desc="(0, inf)",
-    sf=_sf_inv_mod_weibull,
+    hazard=_h_inv_mod_weibull,
     quantile=_q_inv_mod_weibull,
 ))
 
@@ -647,9 +646,9 @@ _register(Family(
 ))
 
 
-def _sf_gen_mod_weibull(t, p):
-    inner = -np.expm1(-p["a"] * t ** p["c"] * np.exp(p["b"] * t))
-    return -np.expm1(p["d"] * np.log(inner))
+def _h_gen_mod_weibull(t, p):
+    # SF = 1 - inner^d with inner = 1 - exp(-a t^c e^(b t))
+    return -_log1mexp(p["d"] * _log1mexp(-p["a"] * t ** p["c"] * np.exp(p["b"] * t)))
 
 
 def _q_gen_mod_weibull(u, p):
@@ -675,7 +674,7 @@ _register(Family(
     check=_check_gen_mod_weibull,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_gen_mod_weibull,
+    hazard=_h_gen_mod_weibull,
     quantile=_q_gen_mod_weibull,
 ))
 
@@ -762,10 +761,10 @@ _register(Family(
 ))
 
 
-def _sf_kum_mod_weibull(t, p):
-    e = np.exp(-p["c"] * t ** p["d"] * np.exp(p["mu"] * t))
-    inner = -np.expm1(p["a"] * np.log1p(-e))      # 1 - (1-e)^a
-    return np.exp(p["b"] * np.log(inner))
+def _h_kum_mod_weibull(t, p):
+    # SF = inner^b, inner = 1 - (1-e)^a, e = exp(-c t^d e^(mu t))
+    log_1me = _log1mexp(-p["c"] * t ** p["d"] * np.exp(p["mu"] * t))
+    return -p["b"] * _log1mexp(p["a"] * log_1me)
 
 
 def _q_kum_mod_weibull(u, p):
@@ -793,7 +792,7 @@ _register(Family(
     check=_check_kum_mod_weibull,
     support=lambda p: (0.0, _INF),
     support_desc="[0, inf)",
-    sf=_sf_kum_mod_weibull,
+    hazard=_h_kum_mod_weibull,
     quantile=_q_kum_mod_weibull,
 ))
 
@@ -970,9 +969,12 @@ _register(Family(
 ))
 
 
-def _sf_mod_lognormal(t, p):
+def _h_mod_lognormal(t, p):
+    # SF = 1 - Phi(z) = Phi(-z); tail = Phi(-|z|) is the smaller of F and SF,
+    # so neither branch subtracts from 1
     z = (p["b"] * np.log(p["a"] * t) + p["c"] * t - p["d"]) / p["mu"]
-    return 1.0 - std_normal_cdf(z)
+    tail = std_normal_cdf(-np.abs(z))
+    return np.where(z > 0.0, -np.log(tail), -np.log1p(-tail))
 
 
 def _q_mod_lognormal(u, p):
@@ -1009,7 +1011,7 @@ _register(Family(
     check=_check_mod_lognormal,
     support=lambda p: (0.0, _INF),
     support_desc="(0, inf)",
-    sf=_sf_mod_lognormal,
+    hazard=_h_mod_lognormal,
     quantile=_q_mod_lognormal,
     printed_quantile=_q_mod_lognormal_printed,
     corrected=True,
@@ -1096,8 +1098,8 @@ def _endpoint_consistency(fam, spec):
 
 
 def _sf(fam, t, p):
-    """The family's SF at t inside the support: exp(-H), or its own SF."""
-    return np.exp(-fam.hazard(t, p)) if fam.hazard is not None else fam.sf(t, p)
+    """The family's SF = exp(-H) at t inside the support, clamped to [0, 1]."""
+    return np.exp(-np.maximum(fam.hazard(t, p), 0.0))
 
 
 def survival(spec, t):
@@ -1110,16 +1112,16 @@ def survival(spec, t):
     fam = family_info(spec.family)
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = arr.reshape(1) if scalar else arr
     lo, hi = spec.support
     with np.errstate(all="ignore"):
         if v.size and lo <= v.min() and v.max() < hi:
-            out = np.minimum(np.maximum(0.0, _sf(fam, v, spec.params)), 1.0)
+            out = _sf(fam, v, spec.params)
         else:
             out = np.full(v.shape, np.nan)
             inside = (v >= lo) & (v < hi)
             if inside.any():
-                out[inside] = np.clip(_sf(fam, v[inside], spec.params), 0.0, 1.0)
+                out[inside] = _sf(fam, v[inside], spec.params)
             out[v < lo] = 1.0
             out[v >= hi] = 0.0
     return float(out[0]) if scalar else out

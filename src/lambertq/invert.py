@@ -4,8 +4,7 @@ Works for every family, including the four without a closed-form inverse.
 It solves ln H(t) = ln(-ln(1 - u)), H = -ln SF, in y = log2(t - lo) (y = t
 on a two-sided support), where the equation is nearly linear for power-law
 hazards.  ln H is the log of the family's own cumulative hazard, which stays
-exact where SF rounds to 1; only the ten families that store their survival
-function instead go through -ln SF.  A ladder of rungs 1/16 apart in y
+exact where SF rounds to 1.  A ladder of rungs 1/16 apart in y
 (t - lo grows by 2^(1/16) from rung to rung) brackets every u; ln H on it
 does not depend on u, so it is evaluated once per parameter set and cached,
 and a call runs one binary search over the rungs its u can need.  Across one
@@ -34,11 +33,8 @@ _Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 
 
 def _log_h(fam, params, hi, t):
-    """ln H(t); a NaN hazard or survival, and t at or past a finite hi, count as past the root."""
-    if fam.hazard is not None:
-        out = np.log(fam.hazard(t, params))
-    else:  # H = -ln SF, which loses H where SF rounds to 1
-        out = np.log(-np.log(np.minimum(fam.sf(t, params), 1.0)))
+    """ln H(t); a NaN hazard, and t at or past a finite hi, count as past the root."""
+    out = np.log(fam.hazard(t, params))
     if math.isfinite(hi):
         out[t >= hi] = np.inf  # H is infinite there by definition
     return np.fmin(out, np.inf)
@@ -150,6 +146,8 @@ def _bracketed_root(spec, u):
 def invert_cdf(spec, u, tol=1e-12):
     """Vectorized t with |cdf(spec, t) - u| <= tol for each u in (0, 1)."""
     u = np.asarray(u, dtype=float)
+    if u.size == 0:
+        return np.empty(u.shape)
     t = _bracketed_root(spec, u)
     res = np.abs(cdf(spec, t) - u)
     if not res.max() <= tol:  # a NaN residual fails too
@@ -164,8 +162,7 @@ def numeric_quantile(spec, u, tol=1e-12):
     """Quantile by numeric CDF inversion, for any family.
 
     Chandrupatla's bracketed method on ln H(t) = ln(-ln(1 - u)), with H the
-    family's own cumulative hazard, or -ln SF for the ten families that
-    store only their survival function (see the module docstring).  Returns
+    family's own cumulative hazard (see the module docstring).  Returns
     a QuantileResult on the Numeric path whose roundtrip residual is
     certified <= tol, or raises LambertQError.  tol must be at least 1e-14
     (below that the CDF's own rounding noise dominates).

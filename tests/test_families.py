@@ -58,14 +58,12 @@ def test_analytic_coverage_is_24_of_28():
     assert set(family_ids()) - analytic == NUMERIC_ONLY
 
 
-def test_each_family_stores_one_of_hazard_or_survival():
-    # 18 families store their cumulative hazard H = -ln SF, among them every
-    # numeric-only one; the exponentiated, ratio and power forms store SF
-    stores_h = {n for n in family_ids() if family_info(n).hazard is not None}
+def test_every_family_stores_its_cumulative_hazard():
+    # one representation: H = -ln SF, from which survival, cdf and the
+    # numeric inverter all read
     for n in family_ids():
-        assert (family_info(n).hazard is None) != (family_info(n).sf is None), n
-    assert len(stores_h) == 18
-    assert NUMERIC_ONLY <= stores_h
+        assert callable(family_info(n).hazard), n
+    assert "sf" not in {f.name for f in dataclasses.fields(lambertq.families.Family)}
 
 
 def test_family_info_unknown_raises():
@@ -292,7 +290,7 @@ def test_empty_and_zero_dimensional_inputs():
 
 
 def test_mod_lognormal_nan_gives_nan_without_raising():
-    # its SF raises DomainError on NaN, so a NaN must never reach it
+    # its H raises DomainError on NaN, so a NaN must never reach it
     spec = reference_specs("mod_lognormal")[0]
     assert math.isnan(survival(spec, math.nan))
     out = cdf(spec, np.array([0.5, math.nan, 1.0]))
@@ -504,6 +502,33 @@ def test_closed_form_tails_stay_finite_and_roundtrip(family, params, u):
     lo, hi = spec.support
     assert math.isfinite(t) and lo < t < hi
     assert abs(cdf(spec, t) - u) <= 1e-12
+
+
+EKW5_2 = {"a": 2.0, "b": 0.5, "c": 1.5, "d": 1.0, "e": 2.0}
+KUM_MOD_2 = {"a": 0.5, "b": 2.0, "c": 2.0, "d": 0.5, "mu": 0.5}
+
+
+@pytest.mark.parametrize("family,params,u", [
+    ("exp_kum_weibull5", EKW5_2, 1.0 - 3e-9),
+    ("exp_kum_weibull5", EKW5_2, 1.0 - 1e-6),
+    ("kum_mod_weibull", KUM_MOD_2, 3e-9),
+    ("kum_mod_weibull", KUM_MOD_2, 1e-6),
+])
+def test_hazard_resolves_tails_where_survival_rounds_to_0_or_1(family, params, u):
+    # written as a survival function, F read 1.0 or 0.0 here, so a quantile
+    # right to the last bits showed a residual of up to u itself
+    spec = validate(family, **params)
+    assert quantile(spec, u).roundtrip_residual <= 1e-15
+    assert numeric_quantile(spec, u).roundtrip_residual <= 1e-15
+
+
+@pytest.mark.parametrize("t", [5.0, 8.0, 12.0])
+def test_mod_lognormal_upper_tail_survival_is_relative_accurate(t):
+    # 1 - Phi(z) cancels to 0 from z of about 8.3 on (t = 8 gives 3.9e-31)
+    p = {"a": 0.5, "b": 2.0, "c": 0.5, "d": 1.0, "mu": 0.5}
+    z = (p["b"] * math.log(p["a"] * t) + p["c"] * t - p["d"]) / p["mu"]
+    expected = 0.5 * math.erfc(z / math.sqrt(2.0))
+    assert survival(validate("mod_lognormal", **p), t) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("arg", [math.nan, -0.1, -1e-300])

@@ -131,6 +131,15 @@ def test_u_endpoints_rejected():
             numeric_quantile(spec, bad)
 
 
+def test_empty_input_gives_empty_results():
+    spec = reference_specs("xie_lai3")[0]
+    t = invert_cdf(spec, np.array([]))
+    assert isinstance(t, np.ndarray) and t.shape == (0,)
+    res = numeric_quantile(spec, np.array([]))
+    assert res.t.shape == res.roundtrip_residual.shape == (0,)
+    assert res.path is QuantilePath.NUMERIC
+
+
 def test_defective_mass_raises_bracket_error():
     # Gompertz with b < 0 saturates F at u_max < 1; asking invert_cdf
     # directly for u above that can never find an upper bracket

@@ -2,11 +2,12 @@
 
 Each family carries parameter constraints, support, a closed-form
 quantile where one exists, and its cumulative hazard H(t) = -ln SF(t),
-its one representation of the distribution.  ``survival`` derives
-SF = exp(-H) in one place, and the numeric inverter reads ln H from the
-same H.  Fourteen quantiles are elementary closed forms, ten involve the
-principal branch of the Lambert W function, and four families have no
-analytic inverse at all (callers use the numeric inverter for those).
+its one representation of the distribution.  It has one door, ``_hazard``:
+the formula inside the support [lo, hi), 0 below lo, +inf from hi on, NaN at
+a NaN t.  ``survival`` (so also ``validate``'s endpoint gate) and the numeric
+inverter read H there.  Fourteen quantiles are elementary closed forms, ten
+involve the principal branch of the Lambert W function, and four families have
+no analytic inverse at all (callers use the numeric inverter for those).
 
 Six catalogued closed forms do not actually invert their own CDF (wrong
 prefactor, swapped symbols, survival function inverted instead of the
@@ -119,9 +120,13 @@ class Family:
     quantile: Optional[Callable]         # (u array, params) -> t array; None => numeric only
     hazard: Callable                     # (t array inside the support, params) -> H = -ln SF
     printed_quantile: Optional[Callable] = None  # catalogued form when it differs
-    corrected: bool = False
     note: str = ""
     u_max: Optional[Callable] = None     # params -> valid u upper bound
+
+    @property
+    def corrected(self):
+        """True when ``quantile`` is a corrected derivation of a wrong printed form."""
+        return self.printed_quantile is not None
 
 
 def _pos(*names):
@@ -254,7 +259,6 @@ _register(Family(
     hazard=_h_flexible_weibull,
     quantile=_q_flexible_weibull,
     printed_quantile=_q_flexible_weibull_printed,
-    corrected=True,
     note=(
         "printed inverse takes the logarithm of the quadratic-root expression "
         "instead of solving it: the exponent satisfies a*t^2 - y*t - b = 0 with "
@@ -335,7 +339,6 @@ _register(Family(
     hazard=_h_mod_weibull_ext,
     quantile=_q_mod_weibull_ext,
     printed_quantile=_q_mod_weibull_ext_printed,
-    corrected=True,
     note=(
         "printed inverse swaps the roles of a and b: the scale outside the "
         "bracket must be b (the same b that divides t inside the survival "
@@ -392,9 +395,15 @@ _register(Family(
 
 def _h_ext_weibull(t, p):
     # SF = a e / (1 - (1-a) e) with e = exp(-x), x = (b t)^c, so
-    # H = ln(1 + (e^x - 1)/a): no cancellation for any a, and infinite only
-    # from x = 709.8 on, where SF < a e^-709.8
-    return np.log1p(np.expm1((p["b"] * t) ** p["c"]) / p["a"])
+    # H = ln(1 + (e^x - 1)/a): no cancellation for any a.  (e^x - 1)/a
+    # overflows from x = 709.8 + ln a on; there H = x - ln a + ln(1 + (a-1) e^-x)
+    a, x = p["a"], (p["b"] * t) ** p["c"]
+    h = np.log1p(np.expm1(x) / a)
+    over = h == _INF
+    if over.any():
+        x = x[over]
+        h[over] = x - math.log(a) + np.log1p((a - 1.0) * np.exp(-x))
+    return h
 
 
 def _q_ext_weibull(u, p):
@@ -420,7 +429,6 @@ _register(Family(
     hazard=_h_ext_weibull,
     quantile=_q_ext_weibull,
     printed_quantile=_q_ext_weibull_printed,
-    corrected=True,
     note=(
         "printed inverse has numerator (2a-1) + u(1-a) over u, which does not "
         "invert the CDF; solving survival = 1-u gives (b t)^c = "
@@ -535,7 +543,6 @@ _register(Family(
     hazard=_h_exp_kum_weibull5,
     quantile=_q_exp_kum_weibull5,
     printed_quantile=_q_exp_kum_weibull5_printed,
-    corrected=True,
     note=(
         "printed inverse substitutes (1-u)^(1/c) where u^(1/c) is required: "
         "as printed it solves SF(t) = u, returning the (1-u)-quantile; the "
@@ -960,7 +967,6 @@ _register(Family(
     hazard=_h_mod_pareto4,
     quantile=_q_mod_pareto4,
     printed_quantile=_q_mod_pareto4_printed,
-    corrected=True,
     note=(
         "printed W argument is g^b alone; inverting the survival function "
         "requires the factor b*c/a inside W so the shift and scale cancel: "
@@ -1014,7 +1020,6 @@ _register(Family(
     hazard=_h_mod_lognormal,
     quantile=_q_mod_lognormal,
     printed_quantile=_q_mod_lognormal_printed,
-    corrected=True,
     note=(
         "printed form inherits a normal CDF integrated from 0 (a half "
         "integral), whose inverse is undefined for u >= 1/2; implemented with "
@@ -1071,59 +1076,58 @@ def validate(family, **params):
     lo, hi = fam.support(p)
     u_max = fam.u_max(p) if fam.u_max is not None else 1.0
     spec = DistributionSpec(family=family, params=p, support=(lo, hi), u_max=u_max)
-    _endpoint_consistency(fam, spec)
+    _endpoint_consistency(spec)
     return spec
 
 
-def _endpoint_consistency(fam, spec):
-    """Sanity gate: SF must be ~1 just inside lo and fall toward 0 at finite hi."""
+def _endpoint_consistency(spec):
+    """Sanity gate: SF must be 1 at a finite lo, and must fall below 1/2
+    within 1e-13 of the support's width below a finite hi."""
     lo, hi = spec.support
-    with np.errstate(all="ignore"):
-        if math.isfinite(lo):
-            s_lo = float(_sf(fam, np.array([lo], dtype=float), spec.params)[0])
-            if not (np.isfinite(s_lo) and abs(s_lo - 1.0) <= 1e-9):
-                raise ParamError(
-                    "%s: survival at the lower endpoint is %r, expected 1 "
-                    "(support/SF inconsistency)" % (spec.family, s_lo)
-                )
-        if math.isfinite(hi):
-            span = hi - (lo if math.isfinite(lo) else 0.0)
-            ts = hi - span * np.array([1e-3, 1e-6, 1e-9, 1e-13])
-            s_hi = _sf(fam, ts, spec.params)
-            if not (np.all(np.isfinite(s_hi)) and float(np.min(s_hi)) < 0.5):
-                raise ParamError(
-                    "%s: survival does not vanish toward the upper endpoint %r "
-                    "(support/SF inconsistency)" % (spec.family, hi)
-                )
+    if math.isfinite(lo):
+        s_lo = survival(spec, lo)
+        if not abs(s_lo - 1.0) <= 1e-9:  # a NaN fails too
+            raise ParamError(
+                "%s: survival at the lower endpoint is %r, expected 1 "
+                "(support/SF inconsistency)" % (spec.family, s_lo)
+            )
+    if math.isfinite(hi):
+        span = hi - (lo if math.isfinite(lo) else 0.0)
+        ts = hi - span * np.array([1e-3, 1e-6, 1e-9, 1e-13])
+        s_hi = survival(spec, ts)
+        if not (np.all(np.isfinite(s_hi)) and float(np.min(s_hi)) < 0.5):
+            raise ParamError(
+                "%s: survival is %r at 1e-3, 1e-6, 1e-9 and 1e-13 of the support's "
+                "width below the upper endpoint %r; the gate needs each to be a "
+                "number and one below 1/2" % (spec.family, s_hi.tolist(), hi)
+            )
 
 
-def _sf(fam, t, p):
-    """The family's SF = exp(-H) at t inside the support, clamped to [0, 1]."""
-    return np.exp(-np.maximum(fam.hazard(t, p), 0.0))
+def _hazard(spec, t):
+    """H(t) on a float array, the one caller of ``Family.hazard``: the formula
+    inside [lo, hi), 0 below lo, +inf from hi on, NaN at a NaN t.  One min and
+    one max (a NaN fails both) let an all-inside array skip the masks.  Callers
+    hold an ``np.errstate``."""
+    fam = _FAMILIES[spec.family]
+    lo, hi = spec.support
+    if t.size and lo <= t.min() and t.max() < hi:
+        return fam.hazard(t, spec.params)
+    out = np.full(t.shape, np.nan)
+    out[t < lo] = 0.0
+    out[t >= hi] = _INF
+    inside = (t >= lo) & (t < hi)
+    if inside.any():
+        out[inside] = fam.hazard(t[inside], spec.params)
+    return out
 
 
 def survival(spec, t):
-    """SF(t) = P(X > t); clamps to 1 below the support and 0 at/above hi.
-
-    When one min and one max put every t inside [lo, hi), the SF is evaluated
-    on the whole array; else (a NaN makes the min NaN) on the inside points
-    alone, with the rest filled, so a NaN t never reaches the family's formula.
-    """
-    fam = family_info(spec.family)
+    """SF(t) = P(X > t) = exp(-H(t)), with H read through ``_hazard``: 1 below
+    the support, 0 from hi on, NaN at a NaN t."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
-    v = arr.reshape(1) if scalar else arr
-    lo, hi = spec.support
     with np.errstate(all="ignore"):
-        if v.size and lo <= v.min() and v.max() < hi:
-            out = _sf(fam, v, spec.params)
-        else:
-            out = np.full(v.shape, np.nan)
-            inside = (v >= lo) & (v < hi)
-            if inside.any():
-                out[inside] = _sf(fam, v[inside], spec.params)
-            out[v < lo] = 1.0
-            out[v >= hi] = 0.0
+        out = np.exp(-np.maximum(_hazard(spec, arr.reshape(1) if scalar else arr), 0.0))
     return float(out[0]) if scalar else out
 
 

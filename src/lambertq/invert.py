@@ -4,10 +4,12 @@ Works for every family, including the four without a closed-form inverse.
 It solves ln H(t) = ln(-ln(1 - u)), H = -ln SF, in y = log2(t - lo) (y = t
 on a two-sided support), where the equation is nearly linear for power-law
 hazards.  ln H is the log of the family's own cumulative hazard, which stays
-exact where SF rounds to 1.  A ladder of rungs 1/16 apart in y
-(t - lo grows by 2^(1/16) from rung to rung) brackets every u; ln H on it
-does not depend on u, so it is evaluated once per parameter set and cached,
-and a call runs one binary search over the rungs its u can need.  Across one
+exact where SF rounds to 1; it is read through ``families._hazard``, the one
+door that also makes H infinite from a finite hi on.  A ladder of rungs 1/16
+apart in y (t - lo grows by 2^(1/16) from rung to rung) brackets every u;
+ln H on it does not depend on u, so it is evaluated once per parameter set
+and cached, and a call runs one binary search over the rungs its u can need.
+A u outside (0, 1), NaN included, raises DomainError.  Across one
 rung ln H is nearly linear, so the first secant step lands close to the root,
 and Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) evaluates H about
 three times per quantile in all, each time on the still active points alone.
@@ -19,8 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, LambertQError
-from .families import QuantilePath, QuantileResult, cdf, family_info, _check_u_open
+from .errors import BracketError, DomainError, LambertQError
+from .families import (DistributionSpec, QuantilePath, QuantileResult, cdf, _check_u_open,
+                       _hazard)
 
 __all__ = ["numeric_quantile", "invert_cdf"]
 
@@ -32,12 +35,9 @@ _EDGES = np.array([[1], [0]])  # rung j - 1 and rung j, the bracket a search han
 _Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 
 
-def _log_h(fam, params, hi, t):
-    """ln H(t); a NaN hazard, and t at or past a finite hi, count as past the root."""
-    out = np.log(fam.hazard(t, params))
-    if math.isfinite(hi):
-        out[t >= hi] = np.inf  # H is infinite there by definition
-    return np.fmin(out, np.inf)
+def _log_h(spec, t):
+    """ln H(t), +inf from hi on; a NaN hazard counts as past the root."""
+    return np.fmin(np.log(_hazard(spec, t)), np.inf)
 
 
 def _to_t(lo):
@@ -71,8 +71,8 @@ def _ladder(family, bits, support):
         count = math.ceil((top - _Y_FLOOR) * _PER_OCTAVE) + 2
     else:
         count = 2 * _MAX_DOUBLINGS * _PER_OCTAVE + 2
-    params = {k: float.fromhex(h) for k, h in bits}
-    at = _log_h(family_info(family), params, hi, _to_t(lo)(_rung(lo, np.arange(count))))
+    spec = DistributionSpec(family, {k: float.fromhex(h) for k, h in bits}, (lo, hi))
+    at = _log_h(spec, _to_t(lo)(_rung(lo, np.arange(count))))
     at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
     np.maximum.accumulate(at, out=at)
     at.flags.writeable = False
@@ -82,13 +82,15 @@ def _ladder(family, bits, support):
 @np.errstate(all="ignore")
 def _bracketed_root(spec, u):
     """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps."""
-    fam, params = family_info(spec.family), spec.params
     lo, hi = spec.support
-    to_t, log_h = _to_t(lo), lambda t: _log_h(fam, params, hi, t)
-    at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in params.items()),
+    to_t = _to_t(lo)
+    at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
                  (float(lo).hex(), float(hi).hex()))
     log_u = log_l = np.log(-np.log1p(-u))
-    first, last = np.searchsorted(at, (log_l.min(), log_l.max()))  # the rungs any root can need
+    bounds = log_l.min(), log_l.max()
+    if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):  # exactly 0 < u < 1
+        raise DomainError("%s: invert_cdf needs u strictly inside (0, 1)" % spec.family)
+    first, last = np.searchsorted(at, bounds)  # the rungs any root can need
     if last == at.size:
         worst = float(u[~(log_l <= at[-1])].max())
         raise BracketError(
@@ -109,7 +111,7 @@ def _bracketed_root(spec, u):
         tl = np.minimum(_TWO_EPS * (np.abs(x1) + 1.0) / np.abs(dx), 0.5)
         x = x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * dx  # a few ulp off the edges
         t = to_t(x)
-        f = log_h(t) - log_l
+        f = _log_h(spec, t) - log_l
         keep = (f < 0.0) == (f1 < 0.0)
         state[6:8] = np.where(keep, state[0:2], state[3:5])
         state[3:6] = np.where(keep, state[3:6], state[0:3])

@@ -66,6 +66,12 @@ def test_every_family_stores_its_cumulative_hazard():
     assert "sf" not in {f.name for f in dataclasses.fields(lambertq.families.Family)}
 
 
+def test_exactly_the_six_families_with_a_printed_form_are_corrected():
+    assert {n for n in family_ids() if family_info(n).corrected} == {
+        "flexible_weibull", "mod_weibull_ext", "ext_weibull",
+        "exp_kum_weibull5", "mod_pareto4", "mod_lognormal"}
+
+
 def test_family_info_unknown_raises():
     with pytest.raises(ParamError):
         family_info("weibull17")
@@ -119,6 +125,24 @@ def test_kies4_ordering_constraint():
 def test_phani5_ordering_constraint():
     with pytest.raises(ParamError):
         validate("phani5", a=3.0, b=1.0, c=1.0, d=1.0, e=1.0)
+
+
+def test_endpoint_gate_rejects_mass_closer_to_hi_than_its_last_probe():
+    # H and the support agree here, but SF(1 - 1e-13) = exp(-1e-3 * 1e13^0.2)
+    # = 0.67: most of the mass lies closer to hi than doubles resolve
+    params = dict(a=0.0, b=1.0, c=1e-3, d=0.2)
+    h = family_info("kies4").hazard(np.array([1.0 - 1e-13]), params)[0]
+    assert math.exp(-h) == pytest.approx(0.67, abs=0.01)
+    with pytest.raises(ParamError, match="upper endpoint 1.0"):
+        validate("kies4", **params)
+    validate("kies4", a=0.0, b=1.0, c=1e-3, d=1.0)  # SF(1 - 1e-13) = 0
+
+
+def test_endpoint_gate_rejects_a_nan_survival_at_lo():
+    # H(lo) = c 0^d / (b - a)^e = 0 / 0 once (1e-300)^5 underflows
+    with pytest.raises(ParamError, match="lower endpoint is nan"):
+        validate("phani5", a=0.0, b=1e-300, c=1.0, d=1.0, e=5.0)
+    validate("phani5", a=0.0, b=1e-300, c=1.0, d=1.0, e=1.0)
 
 
 def test_exponential_tilt_zero_rejected_with_direction():
@@ -204,6 +228,13 @@ def test_survival_clamps_outside_support():
     kspec = validate("kies4", a=0.5, b=2.0, c=1.0, d=1.0)
     assert survival(kspec, 2.5) == 0.0
     assert survival(kspec, 0.2) == 1.0
+
+
+def test_survival_is_zero_at_infinity_even_for_a_defective_set():
+    # Gompertz with b < 0 has a finite H(inf) = -a/b, but H is +inf from hi on
+    spec = validate("gompertz2", a=1.0, b=-1.0)
+    assert survival(spec, math.inf) == 0.0
+    assert survival(spec, 1e300) == pytest.approx(math.exp(-1.0))
 
 
 def test_survival_nan_propagates():

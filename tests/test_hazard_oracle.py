@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lambertq import family_info, quantile_values, reference_specs, validate
+from lambertq import family_info, quantile_values, reference_specs, survival, validate
 
 mp = mpmath.mp
 EPS = np.finfo(float).eps
@@ -83,3 +83,26 @@ def test_ext_weibull_hazard_keeps_its_digits_for_extreme_a(a):
     # for a >> 1, H = x + ln(1 - (1 - 1/a)(1 - e^-x)) would cancel to about
     # x/a and lose log10(a) digits
     _assert_matches_oracle(validate("ext_weibull", a=a, b=1.0, c=1.0))
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.5, 3.0, 1e6])
+def test_ext_weibull_hazard_stays_finite_where_expm1_over_a_overflows(a):
+    # (e^x - 1)/a overflows from x = 709.8 + ln a on (x = 696 at a = 1e-6);
+    # H = x - ln a + ln(1 + (a-1) e^-x) there is still a normal double
+    spec = validate("ext_weibull", a=a, b=1.0, c=1.0)
+    ts = np.linspace(650.0, 720.0, 141)
+    with np.errstate(over="ignore"):
+        hs = family_info("ext_weibull").hazard(ts, spec.params)
+    for t, h in zip(ts.tolist(), hs.tolist()):
+        with mp.workdps(50):
+            exact = -mp.log(_SF["ext_weibull"](mp.mpf(t), {"a": mp.mpf(a), "b": 1, "c": 1}))
+        assert abs(h - exact) <= 4 * EPS * abs(exact), (a, t, h, float(exact))
+
+
+def test_ext_weibull_survival_is_a_normal_double_past_the_overflow():
+    # SF = a e^-x / (1 - (1-a) e^-x) = 1e6 e^-710 = 4.476e-303, not 0
+    spec = validate("ext_weibull", a=1e6, b=1.0, c=1.0)
+    with mp.workdps(50):
+        exact = float(_SF["ext_weibull"](mp.mpf(710), {"a": mp.mpf(1e6), "b": 1, "c": 1}))
+    assert survival(spec, 710.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert exact == pytest.approx(4.476e-303, rel=1e-3, abs=0.0)

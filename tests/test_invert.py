@@ -131,6 +131,14 @@ def test_u_endpoints_rejected():
             numeric_quantile(spec, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, 1.0, math.nan, -0.5, 1.5])
+def test_invert_cdf_rejects_u_outside_the_open_interval(bad):
+    # u = 0 and u = 1 used to come back as t = 5e-324 and t = 1.3e154, certified
+    spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
+    with pytest.raises(DomainError, match="strictly inside"):
+        invert_cdf(spec, np.array([0.5, bad]))
+
+
 def test_empty_input_gives_empty_results():
     spec = reference_specs("xie_lai3")[0]
     t = invert_cdf(spec, np.array([]))
@@ -265,6 +273,28 @@ def ladder():
 def _ladder_key(spec):
     return (spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
             tuple(float(x).hex() for x in spec.support))
+
+
+def test_hazard_formula_sees_only_points_inside_the_support(monkeypatch, ladder):
+    # validate, survival and the inverter all read H through one door, which
+    # answers below lo, from hi on and at NaN itself
+    fam = families.family_info("kies4")
+    seen = []
+
+    def recording_hazard(t, p):
+        seen.append(np.array(t, copy=True))
+        return fam.hazard(t, p)
+
+    monkeypatch.setitem(families._FAMILIES, "kies4",
+                        dataclasses.replace(fam, hazard=recording_hazard))
+    spec = validate("kies4", a=0.5, b=2.0, c=1.0, d=1.0)
+    t = np.array([-1.0, 0.5, 1.0, math.nan, 2.0, 3.0, math.inf])
+    h = families._hazard(spec, t)
+    assert h[0] == 0.0 and np.isnan(h[3]) and np.all(h[4:] == math.inf)
+    np.testing.assert_array_equal(families.survival(spec, t)[[0, 4, 5, 6]], [1.0, 0.0, 0.0, 0.0])
+    numeric_quantile(spec, np.array([2.0 ** -54, 0.3, 1.0 - 2.0 ** -53]))
+    seen = np.concatenate(seen)
+    assert seen.size and np.all((0.5 <= seen) & (seen < 2.0))
 
 
 def test_two_calls_on_one_set_evaluate_the_ladder_once(monkeypatch, ladder):

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._arrays import bounds
 from .errors import DomainError, NoAnalyticFormError, ParamError
 from .lambertw import w_principal, w_principal_from_log
 from .normal import std_normal_cdf, std_normal_quantile
@@ -380,11 +381,18 @@ def _q_gen_weibull(u, p):
     return (num / (p["a"] * c)) ** (1.0 / p["b"])
 
 
+def _check_gen_weibull(p):
+    _pos("a", "b", "c")("gen_weibull", p)
+    if not (p["a"] * p["c"]) ** (-1.0 / p["b"]) > 0.0:
+        raise ParamError("gen_weibull: the upper endpoint (a*c)^(-1/b) underflows to 0 "
+                         "for a=%r, b=%r, c=%r" % (p["a"], p["b"], p["c"]))
+
+
 _register(Family(
     name="gen_weibull",
     label="generalized Weibull",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("gen_weibull", p),
+    check=_check_gen_weibull,
     # the survival function hits zero where a*c*t^b = 1, i.e. t = (a c)^(-1/b)
     support=lambda p: (0.0, (p["a"] * p["c"]) ** (-1.0 / p["b"])),
     support_desc="[0, (a*c)^(-1/b))",
@@ -555,7 +563,7 @@ _register(Family(
 # Lambert-W families
 
 def _w0(arg):
-    if not np.all(arg >= 0.0):
+    if not bounds(arg)[0] >= 0.0:  # a NaN fails too
         raise DomainError("lambert argument must be nonnegative and not NaN")
     return w_principal(arg).value
 
@@ -1105,12 +1113,13 @@ def _endpoint_consistency(spec):
 
 def _hazard(spec, t):
     """H(t) on a float array, the one caller of ``Family.hazard``: the formula
-    inside [lo, hi), 0 below lo, +inf from hi on, NaN at a NaN t.  One min and
-    one max (a NaN fails both) let an all-inside array skip the masks.  Callers
-    hold an ``np.errstate``."""
+    inside [lo, hi), 0 below lo, +inf from hi on, NaN at a NaN t.  Its ``bounds``
+    (one ``item()`` on one point, one min and one max on more; a NaN fails both)
+    let an all-inside array skip the masks.  Callers hold an ``np.errstate``."""
     fam = _FAMILIES[spec.family]
     lo, hi = spec.support
-    if t.size and lo <= t.min() and t.max() < hi:
+    t_min, t_max = bounds(t)
+    if lo <= t_min and t_max < hi:
         return fam.hazard(t, spec.params)
     out = np.full(t.shape, np.nan)
     out[t < lo] = 0.0
@@ -1137,9 +1146,7 @@ def cdf(spec, t):
 
 
 def _check_u_open(v, spec):
-    if v.size == 0:
-        return
-    v_min, v_max = v.min(), v.max()
+    v_min, v_max = bounds(v)
     if not (v_min > 0.0 and v_max < 1.0):  # a NaN makes both fail
         raise DomainError("quantile: u must lie strictly inside (0, 1)")
     if v_max >= spec.u_max:

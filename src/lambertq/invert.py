@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._arrays import bounds
 from .errors import BracketError, DomainError, LambertQError
 from .families import (DistributionSpec, QuantilePath, QuantileResult, cdf, _check_u_open,
                        _hazard)
@@ -87,10 +88,10 @@ def _bracketed_root(spec, u):
     at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
                  (float(lo).hex(), float(hi).hex()))
     log_u = log_l = np.log(-np.log1p(-u))
-    bounds = log_l.min(), log_l.max()
-    if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):  # exactly 0 < u < 1
+    span = bounds(log_l)
+    if not (math.isfinite(span[0]) and math.isfinite(span[1])):  # exactly 0 < u < 1
         raise DomainError("%s: invert_cdf needs u strictly inside (0, 1)" % spec.family)
-    first, last = np.searchsorted(at, bounds)  # the rungs any root can need
+    first, last = np.searchsorted(at, span)  # the rungs any root can need
     if last == at.size:
         worst = float(u[~(log_l <= at[-1])].max())
         raise BracketError(
@@ -121,17 +122,18 @@ def _bracketed_root(spec, u):
         edge = (mid == state[1:3]) | (mid == state[4:6])
         done = (np.abs(f) <= _TWO_EPS) | edge[0] | edge[1]
         finished = np.count_nonzero(done)
+        if finished == idx.size:
+            ends[:, idx] = state[:6]
+            break
         if finished:
             ends[:, idx[done]] = np.compress(done, state[:6], axis=1)
-            if finished == idx.size:
-                break
             open_ = ~done
             state, idx, log_l = np.compress(open_, state, axis=1), idx[open_], log_l[open_]
         # inverse quadratic interpolation where Chandrupatla's test allows it;
         # num holds f1 - f2 and x1 - x2, den f3 - f2 and x3 - x2
         num, den = state[0:2] - state[3:5], state[6:8] - state[3:5]
         phi, xi = num / den
-        alpha = (state[7] - state[1]) / (state[4] - state[1])
+        alpha = (state[1] - state[7]) / num[1]  # (x3 - x1) / (x2 - x1), signs flipped
         f1, f2, f3 = state[0], state[3], state[6]
         iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
         tau = np.where(iqi, f1 / num[0] * f3 / den[0]
@@ -150,12 +152,12 @@ def invert_cdf(spec, u, tol=1e-12):
     u = np.asarray(u, dtype=float)
     if u.size == 0:
         return np.empty(u.shape)
-    t = _bracketed_root(spec, u)
-    res = np.abs(cdf(spec, t) - u)
-    if not res.max() <= tol:  # a NaN residual fails too
+    t = _bracketed_root(spec, u.ravel()).reshape(u.shape)
+    worst = bounds(np.abs(cdf(spec, t) - u))[1]
+    if not worst <= tol:  # a NaN residual fails too
         raise LambertQError(
             "%s: numeric inversion reached residual %r, not within the requested "
-            "tolerance %r" % (spec.family, float(res.max()), tol)
+            "tolerance %r" % (spec.family, worst, tol)
         )
     return t
 

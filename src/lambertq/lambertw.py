@@ -16,12 +16,11 @@ Every evaluation reports the defining-identity residual
 |w*exp(w) - x| / max(|x|, 1e-300) and the iteration count alongside the
 value, so callers can audit precision directly.
 
-An array is checked with one min and one max (a NaN makes both NaN).  The
-bulk start (log1p(x) for W0, the logarithmic form for W-1) is computed over
-the whole array; the others overwrite it only where the array has points in
-their regime, the two steps then run over the whole array, and the window
-and x = 0 points are restored only when the min and max say there can be
-any.  No point's result depends on the other points in its array.
+An array's range is read once, by ``bounds``: one ``item()`` on one point,
+one min and one max on more (a NaN makes both NaN).  The bulk start (log1p(x)
+for W0, the logarithmic form for W-1) and the two steps cover the whole array;
+the other starts, and the window and x = 0 points, are masked in only where the
+range says the array has such points.  No point depends on the others.
 
 The principal branch W0 covers x >= -1/e with W0 >= -1; the lower branch
 W-1 covers -1/e <= x < 0 with W-1 <= -1.  Inputs up to 1e-15 below the
@@ -36,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._arrays import bounds
 from .errors import DomainError
 
 __all__ = ["Branch", "WEvaluation", "w_principal", "w_lower", "w_series", "tree_t"]
@@ -107,10 +107,8 @@ def _refine(w, log_x):
 def _evaluate(x, branch):
     arr = np.asarray(x, dtype=float)
     v = np.atleast_1d(arr)
-    if v.size == 0:
-        return WEvaluation(v.copy(), v.copy(), np.zeros(v.shape, dtype=np.int64))
-    lo, hi = float(v.min()), float(v.max())  # a NaN anywhere makes both NaN
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
+    if not (-math.inf < lo and hi < math.inf):  # finite, or no point at all
         raise DomainError("lambert w: input must be finite")
     if lo < _BRANCH_POINT - _CLAMP_BELOW:
         raise DomainError(
@@ -223,9 +221,7 @@ def w_principal_from_log(log_x):
     """
     arr = np.asarray(log_x, dtype=float)
     v = np.atleast_1d(arr)
-    if v.size == 0:
-        return v.copy()
-    lo, hi = float(v.min()), float(v.max())  # a NaN anywhere makes both NaN
+    lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
     if math.isnan(lo) or hi == math.inf:
         raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
                           % (lo if math.isnan(lo) else hi))

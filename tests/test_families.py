@@ -515,6 +515,13 @@ def test_gen_weibull_support_upper_bound():
     assert survival(spec, hi) == 0.0
 
 
+def test_gen_weibull_underflowing_endpoint_names_its_parameters():
+    # (a c)^(-1/b) rounds to 0: the support [0, 0) would be empty
+    with pytest.raises(ParamError, match=r"gen_weibull: the upper endpoint \(a\*c\)\^\(-1/b\) "
+                       r"underflows to 0 for a=78085\.74, b=0\.00708, c=24368\.26$"):
+        validate("gen_weibull", a=78085.74, b=0.00708, c=24368.26)
+
+
 @pytest.mark.parametrize("family,params,u", [
     ("exp_weibull", {"a": 2.0, "b": 0.8, "c": 0.5}, 3e-9),
     ("exp_kum_weibull5", {"a": 0.7, "b": 2.0, "c": 0.5, "d": 2.0, "e": 0.8}, 3e-9),

@@ -139,6 +139,22 @@ def test_invert_cdf_rejects_u_outside_the_open_interval(bad):
         invert_cdf(spec, np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("family,params", [("xie_lai3", dict(a=1.0, b=2.0, c=1.0)),
+                                           ("weibull2", dict(a=1.0, b=1.0))])
+def test_many_dimensional_u_keeps_its_shape_and_the_flat_bits(shape, family, params):
+    spec = validate(family, **params)
+    u = np.array([0.3, 1e-9, 0.5, 1.0 - 1e-12])[:math.prod(shape)].reshape(shape)
+    flat = numeric_quantile(spec, u.ravel())
+    res = numeric_quantile(spec, u)
+    t = invert_cdf(spec, u)
+    assert res.t.shape == res.roundtrip_residual.shape == t.shape == shape
+    np.testing.assert_array_equal(res.t.view(np.int64), flat.t.reshape(shape).view(np.int64))
+    np.testing.assert_array_equal(res.roundtrip_residual.view(np.int64),
+                                  flat.roundtrip_residual.reshape(shape).view(np.int64))
+    np.testing.assert_array_equal(t.view(np.int64), flat.t.reshape(shape).view(np.int64))
+
+
 def test_empty_input_gives_empty_results():
     spec = reference_specs("xie_lai3")[0]
     t = invert_cdf(spec, np.array([]))

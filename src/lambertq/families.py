@@ -381,11 +381,21 @@ def _q_gen_weibull(u, p):
     return (num / (p["a"] * c)) ** (1.0 / p["b"])
 
 
+def _gen_weibull_hi(p):
+    """(a c)^(-1/b), where SF reaches 0; inf where it passes the largest double."""
+    try:
+        return (p["a"] * p["c"]) ** (-1.0 / p["b"])
+    except (OverflowError, ZeroDivisionError):  # a*c underflowing to 0 raises the latter
+        return _INF
+
+
 def _check_gen_weibull(p):
     _pos("a", "b", "c")("gen_weibull", p)
-    if not (p["a"] * p["c"]) ** (-1.0 / p["b"]) > 0.0:
-        raise ParamError("gen_weibull: the upper endpoint (a*c)^(-1/b) underflows to 0 "
-                         "for a=%r, b=%r, c=%r" % (p["a"], p["b"], p["c"]))
+    hi = _gen_weibull_hi(p)
+    if not 0.0 < hi < _INF:
+        raise ParamError("gen_weibull: the upper endpoint (a*c)^(-1/b) %s for a=%r, b=%r, c=%r"
+                         % ("underflows to 0" if hi == 0.0 else "overflows",
+                            p["a"], p["b"], p["c"]))
 
 
 _register(Family(
@@ -394,7 +404,7 @@ _register(Family(
     params=("a", "b", "c"),
     check=_check_gen_weibull,
     # the survival function hits zero where a*c*t^b = 1, i.e. t = (a c)^(-1/b)
-    support=lambda p: (0.0, (p["a"] * p["c"]) ** (-1.0 / p["b"])),
+    support=lambda p: (0.0, _gen_weibull_hi(p)),
     support_desc="[0, (a*c)^(-1/b))",
     hazard=_h_gen_weibull,
     quantile=_q_gen_weibull,
@@ -907,7 +917,7 @@ def gm_subtractive_quantile(spec, u):
         raise ParamError("gm_subtractive_quantile: spec must be gompertz_makeham")
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = np.atleast_1d(arr)
     _check_u_open(v, spec)
     p = spec.params
     a, c = p["a"], p["c"]
@@ -1166,7 +1176,7 @@ def quantile(spec, u):
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = np.atleast_1d(arr)
     t = quantile_values(spec, v)
     res = np.abs(cdf(spec, t) - v)
     path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected

@@ -14,6 +14,15 @@ rung ln H is nearly linear, so the first secant step lands close to the root,
 and Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) evaluates H about
 three times per quantile in all, each time on the still active points alone.
 Each returned t is certified by its roundtrip residual |F(t) - u|.
+
+One step, two state holders, chosen by point count: a call with one point
+keeps its bracket in float64 scalars and branches with ``if``; a call with
+more keeps all brackets in one (8, n) array, selects with ``np.where`` and
+drops finished points.  Both call the same functions for the first bracket,
+the trial point, the interpolation step, the stopping test and the final
+pick, built from operators and ufuncs that give the same bits on scalars and
+arrays, so a u gets the same t alone or inside any batch.  The scalar
+loop still reads H on a one-point array, through the same door.
 """
 
 import math
@@ -32,7 +41,6 @@ _MAX_DOUBLINGS = 1000
 _PER_OCTAVE = 16  # rungs per doubling of t - lo (of |t| on a two-sided support)
 _MAX_STEPS = 400  # cap on Chandrupatla steps; a point still open keeps its first bracket
 _TWO_EPS = 2.0 * np.finfo(float).eps
-_EDGES = np.array([[1], [0]])  # rung j - 1 and rung j, the bracket a search hands out
 _Y_FLOOR = -1074.0  # y of the smallest positive t - lo
 
 
@@ -80,47 +88,87 @@ def _ladder(family, bits, support):
     return at
 
 
-@np.errstate(all="ignore")
-def _bracketed_root(spec, u):
-    """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps."""
-    lo, hi = spec.support
-    to_t = _to_t(lo)
-    at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
-                 (float(lo).hex(), float(hi).hex()))
-    log_u = log_l = np.log(-np.log1p(-u))
-    span = bounds(log_l)
-    if not (math.isfinite(span[0]) and math.isfinite(span[1])):  # exactly 0 < u < 1
-        raise DomainError("%s: invert_cdf needs u strictly inside (0, 1)" % spec.family)
-    first, last = np.searchsorted(at, span)  # the rungs any root can need
-    if last == at.size:
-        worst = float(u[~(log_l <= at[-1])].max())
-        raise BracketError(
-            "%s: no upper bracket for u up to %r after %d doublings (survival mass may "
-            "remain at infinity)" % (spec.family, worst, _MAX_DOUBLINGS))
-    j = np.maximum(at[first:last].searchsorted(log_l) + first, 1)
+def _start(at, lo, to_t, j, log_l):
+    """The first bracket, rung j - 1 and rung j, as f1 x1 t1 f2 x2 t2, and the
+    secant step tau across it; both loops take 0.5 where tau is not finite."""
+    y1, y2 = _rung(lo, j - 1), _rung(lo, j)
+    f1, f2 = at[j - 1] - log_l, at[j] - log_l
+    return (f1, y1, to_t(y1), f2, y2, to_t(y2)), f1 / (f1 - f2)
 
-    # state rows: f1 x1 t1 the newest point, f2 x2 t2 the bracket's other edge,
-    # f3 x3 the edge dropped; the start is rung j - 1 and rung j
-    y = _rung(lo, j - _EDGES)
-    g, t = at[j - _EDGES] - log_l, to_t(y)
-    state = np.array([g[0], y[0], t[0], g[1], y[1], t[1], g[1], y[1]])
-    ends, idx = state[:6].copy(), np.arange(u.shape[0])
-    tau = g[0] / (g[0] - g[1])  # the secant point, or the midpoint where that is not finite
+
+def _trial(x1, x2, tau):
+    """The next point x1 + tau (x2 - x1), with tau held a few ulp inside (0, 1)."""
+    dx = x2 - x1
+    tl = np.minimum(_TWO_EPS * (abs(x1) + 1.0) / abs(dx), 0.5)
+    return x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * dx
+
+
+def _closed(x1, t1, x2, t2):
+    """No double strictly inside the bracket, in y or in t: midpoints round to an edge."""
+    mx, mt = 0.5 * (x1 + x2), 0.5 * (t1 + t2)
+    return (mx == x1) | (mx == x2) | (mt == t1) | (mt == t2)
+
+
+def _iqi(f1, x1, f2, x2, f3, x3):
+    """Chandrupatla's inverse quadratic interpolation step tau, and whether his
+    test allows it; where it does not, the step is the midpoint, tau = 0.5."""
+    num_f, num_x, den_f = f1 - f2, x1 - x2, f3 - f2
+    phi, xi = num_f / den_f, num_x / (x3 - x2)
+    alpha = (x1 - x3) / num_x  # (x3 - x1) / (x2 - x1), signs flipped
+    allowed = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+    return allowed, f1 / num_f * f3 / den_f - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+
+
+def _closer(f1, f2, log_u, u):
+    """Whether edge 1's F = 1 - exp(-H) lies closer to u than edge 2's; on a tie,
+    whether it lies closer in ln H."""
+    d1 = abs(-np.expm1(-np.exp(f1 + log_u)) - u)
+    d2 = abs(-np.expm1(-np.exp(f2 + log_u)) - u)
+    return (d1 < d2) | ((d1 == d2) & (abs(f1) <= abs(f2)))
+
+
+def _steps_one(spec, to_t, u, log_u, start, tau):
+    """Chandrupatla's steps for one point, held in float64 scalars."""
+    f1, x1, t1, f2, x2, t2 = start
+    f3, x3 = f2, x2
+    if not math.isfinite(tau):
+        tau = 0.5
+    for _ in range(_MAX_STEPS):
+        x = _trial(x1, x2, tau)
+        t = to_t(x)
+        f = _log_h(spec, np.array([t]))[0] - log_u
+        if (f < 0.0) == (f1 < 0.0):
+            f3, x3 = f1, x1
+        else:
+            f3, x3, f2, x2, t2 = f2, x2, f1, x1, t1
+        f1, x1, t1 = f, x, t
+        if abs(f) <= _TWO_EPS or _closed(x1, t1, x2, t2):
+            break
+        allowed, tau = _iqi(f1, x1, f2, x2, f3, x3)
+        if not allowed:
+            tau = 0.5
+    else:
+        f1, _, t1, f2, _, t2 = start
+    return t1 if _closer(f1, f2, log_u, u) else t2
+
+
+def _steps_many(spec, to_t, u, log_u, start, tau):
+    """Chandrupatla's steps for many points, held in an (8, n) array from which
+    finished points drop out."""
+    # rows: f1 x1 t1 the newest point, f2 x2 t2 the bracket's other edge,
+    # f3 x3 the edge dropped
+    state = np.array(start + start[3:5])
+    ends, idx, log_l = state[:6].copy(), np.arange(u.shape[0]), log_u
     tau = np.where(np.isfinite(tau), tau, 0.5)
     for _ in range(_MAX_STEPS):
-        f1, x1, dx = state[0], state[1], state[4] - state[1]
-        tl = np.minimum(_TWO_EPS * (np.abs(x1) + 1.0) / np.abs(dx), 0.5)
-        x = x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * dx  # a few ulp off the edges
+        x = _trial(state[1], state[4], tau)
         t = to_t(x)
         f = _log_h(spec, t) - log_l
-        keep = (f < 0.0) == (f1 < 0.0)
+        keep = (f < 0.0) == (state[0] < 0.0)
         state[6:8] = np.where(keep, state[0:2], state[3:5])
         state[3:6] = np.where(keep, state[3:6], state[0:3])
         state[0], state[1], state[2] = f, x, t
-        # no double strictly inside the bracket, in y or in t: midpoints round to an edge
-        mid = 0.5 * (state[1:3] + state[4:6])
-        edge = (mid == state[1:3]) | (mid == state[4:6])
-        done = (np.abs(f) <= _TWO_EPS) | edge[0] | edge[1]
+        done = (np.abs(f) <= _TWO_EPS) | _closed(x, t, state[4], state[5])
         finished = np.count_nonzero(done)
         if finished == idx.size:
             ends[:, idx] = state[:6]
@@ -129,22 +177,39 @@ def _bracketed_root(spec, u):
             ends[:, idx[done]] = np.compress(done, state[:6], axis=1)
             open_ = ~done
             state, idx, log_l = np.compress(open_, state, axis=1), idx[open_], log_l[open_]
-        # inverse quadratic interpolation where Chandrupatla's test allows it;
-        # num holds f1 - f2 and x1 - x2, den f3 - f2 and x3 - x2
-        num, den = state[0:2] - state[3:5], state[6:8] - state[3:5]
-        phi, xi = num / den
-        alpha = (state[1] - state[7]) / num[1]  # (x3 - x1) / (x2 - x1), signs flipped
-        f1, f2, f3 = state[0], state[3], state[6]
-        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        tau = np.where(iqi, f1 / num[0] * f3 / den[0]
-                       - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        allowed, tau = _iqi(state[0], state[1], state[3], state[4], state[6], state[7])
+        tau = np.where(allowed, tau, 0.5)
+    return np.where(_closer(ends[0], ends[3], log_u, u), ends[2], ends[5])
 
-    # the edge whose F = 1 - exp(-H) lies closer to u; on a tie, closer in ln H
-    f = ends[0::3]  # f1 and f2
-    d = np.abs(-np.expm1(-np.exp(f + log_u)) - u)
-    a = np.abs(f)
-    t = np.where((d[0] < d[1]) | ((d[0] == d[1]) & (a[0] <= a[1])), ends[2], ends[5])
-    return np.minimum(t, hi)  # an edge past a finite hi has F = 1, as hi itself has
+
+@np.errstate(all="ignore")
+def _bracketed_root(spec, u):
+    """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps.
+
+    One point takes its steps in scalars and returns one float64, more points
+    take them in one state array; both loops call the same formulas, so a
+    point gets the same bits either way."""
+    lo, hi = spec.support
+    to_t = _to_t(lo)
+    at = _ladder(spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
+                 (float(lo).hex(), float(hi).hex()))
+    log_u = np.log(-np.log1p(-u))
+    span = bounds(log_u)
+    if not (math.isfinite(span[0]) and math.isfinite(span[1])):  # exactly 0 < u < 1
+        raise DomainError("%s: invert_cdf needs u strictly inside (0, 1)" % spec.family)
+    first, last = np.searchsorted(at, span)  # the rungs any root can need
+    if last == at.size:
+        worst = float(u[~(log_u <= at[-1])].max())
+        raise BracketError(
+            "%s: no upper bracket for u up to %r after %d doublings (survival mass may "
+            "remain at infinity)" % (spec.family, worst, _MAX_DOUBLINGS))
+    if u.size == 1:  # first is its own rung
+        steps, j, u, log_u = _steps_one, max(first, 1), u[0], log_u[0]
+    else:
+        steps, j = _steps_many, np.maximum(at[first:last].searchsorted(log_u) + first, 1)
+    start, tau = _start(at, lo, to_t, j, log_u)
+    # an edge past a finite hi has F = 1, as hi itself has
+    return np.minimum(steps(spec, to_t, u, log_u, start, tau), hi)
 
 
 def invert_cdf(spec, u, tol=1e-12):
@@ -166,16 +231,18 @@ def numeric_quantile(spec, u, tol=1e-12):
     """Quantile by numeric CDF inversion, for any family.
 
     Chandrupatla's bracketed method on ln H(t) = ln(-ln(1 - u)), with H the
-    family's own cumulative hazard (see the module docstring).  Returns
-    a QuantileResult on the Numeric path whose roundtrip residual is
-    certified <= tol, or raises LambertQError.  tol must be at least 1e-14
-    (below that the CDF's own rounding noise dominates).
+    family's own cumulative hazard (see the module docstring).  One u takes
+    its steps in scalars, more u in one state array; the formulas are shared,
+    so a u gets the same t either way.  Returns a QuantileResult on the
+    Numeric path whose roundtrip residual is certified <= tol, or raises
+    LambertQError.  tol must be at least 1e-14 (below that the CDF's own
+    rounding noise dominates).
     """
     if not tol >= 1e-14:
         raise ValueError("numeric_quantile: tol must be >= 1e-14; got %r" % tol)
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = np.atleast_1d(arr)
     _check_u_open(v, spec)
     t = invert_cdf(spec, v, tol=tol)
     res = np.abs(cdf(spec, t) - v)

@@ -173,7 +173,7 @@ def w_series(x, n_terms):
         raise ValueError("w_series: n_terms must be between 1 and 30; got %r" % n_terms)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = np.atleast_1d(arr)
     if np.any(~np.isfinite(v)) or np.any(np.abs(v) >= -_BRANCH_POINT):
         raise DomainError("w_series: |x| must be < 1/e (series radius)")
     s = _series_sum(v, n)
@@ -184,7 +184,7 @@ def tree_t(x):
     """Tree function T(x) = -W0(-x), defined for x <= 1/e."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(float)
+    v = np.atleast_1d(arr)
     if np.any(~np.isfinite(v)):
         raise DomainError("tree_t: input must be finite")
     if np.any(v > -_BRANCH_POINT + _CLAMP_BELOW):

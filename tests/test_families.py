@@ -27,7 +27,9 @@ from lambertq import (
     quantile_values,
     reference_specs,
     survival,
+    tree_t,
     validate,
+    w_series,
     wl_hazard,
 )
 from lambertq.families import _check_u_open, _w0, has_analytic_quantile
@@ -522,6 +524,18 @@ def test_gen_weibull_underflowing_endpoint_names_its_parameters():
         validate("gen_weibull", a=78085.74, b=0.00708, c=24368.26)
 
 
+@pytest.mark.parametrize("params,shown", [
+    # (a c)^(-1/b) = (1e-6)^(-1000) passes the largest double
+    (dict(a=1e-3, b=1e-3, c=1e-3), "a=0.001, b=0.001, c=0.001"),
+    # a*c underflows to 0, whose negative power Python cannot form
+    (dict(a=1e-200, b=1.0, c=1e-200), "a=1e-200, b=1.0, c=1e-200"),
+])
+def test_gen_weibull_overflowing_endpoint_raises_a_param_error(params, shown):
+    with pytest.raises(ParamError) as info:
+        validate("gen_weibull", **params)
+    assert str(info.value) == "gen_weibull: the upper endpoint (a*c)^(-1/b) overflows for " + shown
+
+
 @pytest.mark.parametrize("family,params,u", [
     ("exp_weibull", {"a": 2.0, "b": 0.8, "c": 0.5}, 3e-9),
     ("exp_kum_weibull5", {"a": 0.7, "b": 2.0, "c": 0.5, "d": 2.0, "e": 0.8}, 3e-9),
@@ -677,3 +691,26 @@ def test_hazard_domain_and_param_errors():
         wl_hazard(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ParamError):
         wl_hazard(1.0, 1.0, -0.5, 1.0)
+
+
+_PROBS = [1e-12, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-9]
+_W_ARGS = [-0.3, -0.1, 0.0, 0.05, 0.2, 0.35]
+
+
+@pytest.mark.parametrize("call,x", [
+    (lambda u: quantile(validate("weibull2", a=1.0, b=2.0), u), _PROBS),
+    (lambda u: numeric_quantile(validate("xie_lai3", a=1.0, b=2.0, c=1.0), u), _PROBS),
+    (lambda u: gm_subtractive_quantile(validate("gompertz_makeham", a=1.0, b=1.0, c=1.0), u),
+     _PROBS),
+    (lambda x: w_series(x, 12), _W_ARGS),
+    (tree_t, _W_ARGS),
+], ids=["quantile", "numeric_quantile", "gm_subtractive_quantile", "w_series", "tree_t"])
+def test_calls_leave_the_callers_float64_array_unchanged(call, x):
+    # a float64 array is read in place, not copied, so no call may write to it
+    # or hand it back as its result
+    whole = np.array(x + x)
+    for arr in (whole[:len(x)], whole[::2]):
+        before = arr.copy()
+        out = call(arr)
+        assert arr.tobytes() == before.tobytes()
+        assert not np.shares_memory(getattr(out, "t", out), whole)

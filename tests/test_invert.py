@@ -12,6 +12,7 @@ from lambertq import (
     DomainError,
     LambertQError,
     QuantilePath,
+    all_reference_specs,
     cdf,
     counter_uniforms,
     invert_cdf,
@@ -19,6 +20,7 @@ from lambertq import (
     quantile_values,
     reference_specs,
     sample,
+    survival,
     validate,
 )
 from lambertq import families, invert
@@ -363,3 +365,55 @@ def test_threaded_sampling_from_a_cold_cache_matches_serial(ladder):
     ladder.cache_clear()
     serial = sample(spec, 3 * 2 ** 14 + 5, seed=11, workers=1).values
     assert threaded.tobytes() == serial.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one point steps in scalars, more points in a state array
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).ravel().view(np.int64).tolist()
+
+
+# 60 log-spaced u in each tail, from the sampler's smallest uniform 2^-54 to
+# its largest, 1 - 2^-53
+_TAIL = np.geomspace(2.0 ** -54, 0.5, 60)
+TAIL_PROBS = np.unique(np.concatenate((_TAIL, 1.0 - np.geomspace(2.0 ** -53, 0.5, 60))))
+
+
+@pytest.mark.parametrize("spec", all_reference_specs(), ids=lambda s: "%s%s" % (
+    s.family, sorted(s.params.values())))
+def test_one_point_calls_give_the_bits_of_one_vector_call(spec):
+    kept, scalar = [], []
+    for u in TAIL_PROBS.tolist():
+        try:
+            scalar.append(numeric_quantile(spec, u))
+        except LambertQError as exc:
+            # the same u twice takes the state array, and fails the same way
+            with pytest.raises(LambertQError) as info:
+                numeric_quantile(spec, np.array([u, u]))
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc)), u
+            continue
+        kept.append(u)
+    vec = numeric_quantile(spec, np.array(kept))
+    assert _bits([r.t for r in scalar]) == _bits(vec.t)
+    assert _bits([r.roundtrip_residual for r in scalar]) == _bits(vec.roundtrip_residual)
+    assert _bits([survival(spec, r.t) for r in scalar]) == _bits(survival(spec, vec.t))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_capped_steps_keep_the_first_bracket_in_both_loops(monkeypatch, cap):
+    # a point still open when the steps run out returns an edge of its first
+    # bracket, whether it was stepped alone or among others
+    u = TAIL_PROBS[::6]
+    specs = [spec for name in NUMERIC_ONLY + ("trunc_log_weibull", "gen_weibull")
+             for spec in reference_specs(name) if spec.u_max == 1.0]
+    full = [invert._bracketed_root(spec, u) for spec in specs]
+    monkeypatch.setattr(invert, "_MAX_STEPS", cap)
+    moved = 0
+    for spec, t in zip(specs, full):
+        vec = invert._bracketed_root(spec, u)
+        one = np.hstack([invert._bracketed_root(spec, u[i:i + 1]) for i in range(u.size)])
+        assert _bits(one) == _bits(vec), (spec.family, spec.params)
+        moved += np.count_nonzero(vec != t)
+    assert moved > (u.size * len(specs) // 2 if cap == 0 else 0), moved

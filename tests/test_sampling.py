@@ -110,11 +110,13 @@ def test_parallel_equals_serial():
 
 def test_parallel_equals_serial_numeric_path():
     # every numeric-only reference set, at odd n that three workers split
-    # unevenly: below one block, and across three blocks
+    # unevenly: below one block, and across three blocks; at n = 3 each worker
+    # inverts one point, in scalars, where serial sampling inverts all three
+    # in one state array
     for family in ("xie_lai3", "additive_weibull", "nadarajah_kotz", "phani5"):
         for params in reference_params(family):
             spec = validate(family, **params)
-            for n in (501, 2 * sampling._BLOCK + 17):
+            for n in (3, 501, 2 * sampling._BLOCK + 17):
                 serial = sample(spec, n, seed=3)
                 parallel = sample(spec, n, seed=3, workers=3)
                 np.testing.assert_array_equal(serial.values, parallel.values,

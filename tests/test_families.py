@@ -25,6 +25,7 @@ from lambertq import (
     numeric_quantile,
     quantile,
     quantile_values,
+    reference_params,
     reference_specs,
     survival,
     tree_t,
@@ -183,6 +184,113 @@ def test_location_parameters_allow_zero():
         validate("mod_pareto4", a=1.0, b=1.0, c=1.0, d=1.0, mu=-0.1)
     validate("shifted_mod_weibull", a=1.0, b=1.0, c=1.0, d=0.0)
     validate("mod_lognormal", a=1.0, b=1.0, c=1.0, mu=1.0, d=0.0)
+
+
+_POS = "must be positive (got 0.0)"
+_NONNEG = "must be nonnegative (got -0.5)"
+_ORDER = "endpoints must satisfy 0 <= a < b (got a=%r, b=1.0)"
+
+# (family, change to its first reference set, message after "<family>: "),
+# one row per parameter rule, each change breaking that rule alone (a
+# gen_weibull a, b or c at 0 also moves the endpoint, which is checked last)
+PARAM_MESSAGES = [
+    ("weibull2", {"a": 0.0}, "a " + _POS),
+    ("weibull2", {"b": -2.0}, "b must be positive (got -2.0)"),
+    ("gompertz2", {"a": 0.0}, "a " + _POS),
+    ("gompertz2", {"b": 0.0}, "b must be nonzero; the b = 0 limit is the exponential, "
+                              "use weibull2 with b = 1"),
+    ("trunc_log_weibull", {"b": 0.0}, "b " + _POS),
+    ("flexible_weibull", {"a": 0.0}, "a " + _POS),
+    ("flexible_weibull", {"b": 0.0}, "b " + _POS),
+    ("pham", {"a": 1.0}, "a must exceed 1 (got 1.0)"),
+    ("pham", {"b": 0.0}, "b " + _POS),
+    *[(fam, {n: 0.0}, n + " " + _POS)
+      for fam in ("exp_weibull", "mod_weibull_ext", "exp_inv_weibull", "gen_weibull",
+                  "ext_weibull", "gen_power_weibull", "odd_weibull", "mod_log_logistic",
+                  "gompertz_makeham")
+      for n in "abc"],
+    ("gen_weibull", {"a": 78085.74, "b": 0.00708, "c": 24368.26},
+     "the upper endpoint (a*c)^(-1/b) underflows to 0 for a=78085.74, b=0.00708, c=24368.26"),
+    ("gen_weibull", {"a": 1e-3, "b": 1e-3, "c": 1e-3},
+     "the upper endpoint (a*c)^(-1/b) overflows for a=0.001, b=0.001, c=0.001"),
+    ("kies4", {"a": -0.5}, _ORDER % -0.5),
+    ("kies4", {"a": 1.0}, _ORDER % 1.0),
+    ("kies4", {"a": 2.0}, _ORDER % 2.0),
+    ("kies4", {"c": 0.0}, "c " + _POS),
+    ("kies4", {"d": 0.0}, "d " + _POS),
+    *[("exp_kum_weibull5", {n: 0.0}, n + " " + _POS) for n in "abcde"],
+    ("lai_weibull3", {"a": 0.0}, "a " + _POS),
+    ("lai_weibull3", {"b": 0.0}, "b " + _POS),
+    ("lai_weibull3", {"c": 0.0}, "c must be positive; the c = 0 limit has no exponential "
+                                 "tilt and is exactly weibull2(a, b)"),
+    ("inv_mod_weibull", {"a": 0.0}, "a " + _POS),
+    ("inv_mod_weibull", {"b": 0.0}, "b " + _POS),
+    ("inv_mod_weibull", {"c": 0.0}, "c must be positive; the c = 0 limit is the inverse "
+                                    "Weibull, use exp_inv_weibull with b = 1"),
+    ("xie_lai3", {"a": -0.5}, "a " + _NONNEG),
+    ("xie_lai3", {"b": 1.0}, "b must exceed 1 (got 1.0)"),
+    ("xie_lai3", {"c": 0.0}, "c " + _POS),
+    ("gen_mod_weibull", {"a": 0.0}, "a " + _POS),
+    ("gen_mod_weibull", {"b": 0.0}, "b must be positive; the b = 0 limit has no exponential "
+                                    "tilt and is exactly exp_weibull(a, c, d)"),
+    ("gen_mod_weibull", {"c": 0.0}, "c " + _POS),
+    ("gen_mod_weibull", {"d": 0.0}, "d " + _POS),
+    ("shifted_mod_weibull", {"a": 0.0}, "a " + _POS),
+    ("shifted_mod_weibull", {"b": 0.0}, "b " + _POS),
+    ("shifted_mod_weibull", {"c": 0.0}, "c must be positive; the c = 0 limit has no "
+                                        "exponential tilt and is a shifted weibull2(a^b, b)"),
+    ("shifted_mod_weibull", {"d": -0.5}, "d " + _NONNEG),
+    *[("additive_weibull", {n: 0.0}, n + " " + _POS) for n in "abcd"],
+    *[("mod_power_lomax", {n: 0.0}, n + " " + _POS) for n in "abcd"],
+    ("nadarajah_kotz", {"a": 0.0}, "a " + _POS),
+    ("nadarajah_kotz", {"b": -0.5}, "b " + _NONNEG),
+    ("nadarajah_kotz", {"c": 0.0}, "c must be positive; c = 0 makes the survival function "
+                                   "identically 1"),
+    ("nadarajah_kotz", {"d": 0.0}, "d " + _POS),
+    *[("kum_mod_weibull", {n: 0.0}, n + " " + _POS) for n in "abcd"],
+    ("kum_mod_weibull", {"mu": 0.0}, "mu must be positive; the mu = 0 limit has no exponential "
+                                     "tilt (a plain Kumaraswamy-Weibull, not registered here)"),
+    ("phani5", {"a": -0.5}, _ORDER % -0.5),
+    ("phani5", {"a": 1.0}, _ORDER % 1.0),
+    ("phani5", {"a": 3.0}, _ORDER % 3.0),
+    *[("phani5", {n: 0.0}, n + " " + _POS) for n in "cde"],
+    *[("mod_pareto4", {n: 0.0}, n + " " + _POS) for n in "abcd"],
+    ("mod_pareto4", {"mu": -0.5}, "mu " + _NONNEG),
+    *[("mod_lognormal", {n: 0.0}, n + " " + _POS) for n in ("a", "b", "c", "mu")],
+    ("mod_lognormal", {"d": -0.5}, "d " + _NONNEG),
+]
+
+
+@pytest.mark.parametrize("family,change,message", PARAM_MESSAGES)
+def test_each_parameter_rule_raises_its_own_message(family, change, message):
+    params = {**reference_params(family)[0], **change}
+    with pytest.raises(ParamError) as info:
+        validate(family, **params)
+    assert str(info.value) == family + ": " + message
+
+
+@pytest.mark.parametrize("family,params,message", [
+    # rules are checked in a fixed order: the first broken one is reported
+    ("nadarajah_kotz", dict(a=1.0, b=-1.0, c=0.0, d=0.0), "d " + _POS),
+    ("nadarajah_kotz", dict(a=1.0, b=-1.0, c=0.0, d=1.0), "b must be nonnegative (got -1.0)"),
+    ("gen_mod_weibull", dict(a=1.0, b=0.0, c=1.0, d=0.0), "d " + _POS),
+    ("mod_lognormal", dict(a=1.0, b=1.0, c=1.0, d=-1.0, mu=0.0), "mu " + _POS),
+    ("kies4", dict(a=2.0, b=1.0, c=0.0, d=0.0), _ORDER.replace("b=1.0", "b=%r") % (2.0, 1.0)),
+    ("xie_lai3", dict(a=-1.0, b=1.0, c=0.0), "a must be nonnegative (got -1.0)"),
+    ("gen_weibull", dict(a=1.0, b=-1.0, c=0.0), "b must be positive (got -1.0)"),
+])
+def test_a_set_breaking_two_rules_reports_the_first_in_check_order(family, params, message):
+    with pytest.raises(ParamError) as info:
+        validate(family, **params)
+    assert str(info.value) == family + ": " + message
+
+
+def test_every_parameter_rule_has_a_pinned_message():
+    # trunc_log_weibull's location a is free; kies4 and phani5 b enter only
+    # through the endpoint order, whose rows change a
+    rows = {(fam, n) for fam, change, _ in PARAM_MESSAGES for n in change}
+    constrained = {(fam, n) for fam in family_ids() for n in family_info(fam).params}
+    assert constrained - rows == {("trunc_log_weibull", "a"), ("kies4", "b"), ("phani5", "b")}
 
 
 def test_spec_is_immutable():

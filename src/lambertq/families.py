@@ -1,8 +1,11 @@
 """Registry of 28 lifetime distribution families.
 
-Each family carries parameter constraints, support, a closed-form
-quantile where one exists, and its cumulative hazard H(t) = -ln SF(t),
-its one representation of the distribution.  It has one door, ``_hazard``:
+Each family carries its parameter box, support, a closed-form quantile
+where one exists, and its cumulative hazard H(t) = -ln SF(t), its one
+representation of the distribution.  The box is data: ``Family.rules``, an
+ordered tuple of ``Bound`` rules (one parameter > 0, >= 0, > 1 or != 0) and
+``Cross`` rules (several parameters at once).  ``validate`` walks it in order
+and raises at the first rule broken, and the property tests draw inside it.  It has one door, ``_hazard``:
 the formula inside the support [lo, hi), 0 below lo, +inf from hi on, NaN at
 a NaN t.  ``survival`` (so also ``validate``'s endpoint gate) and the numeric
 inverter read H there.  Fourteen quantiles are elementary closed forms, ten
@@ -29,7 +32,7 @@ is single-valued only on [0, inf)).
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -110,16 +113,53 @@ def _log1mexp(x):
 # --------------------------------------------------------------------------
 # family record
 
+_KINDS = {  # kind of a parameter rule -> (test, the words after "must")
+    ">0": (lambda v: v > 0.0, "be positive"),
+    ">=0": (lambda v: v >= 0.0, "be nonnegative"),
+    ">1": (lambda v: v > 1.0, "exceed 1"),
+    "!=0": (lambda v: v != 0.0, "be nonzero"),
+}
+
+
+class Bound(NamedTuple):
+    """Rule on one parameter: ``param`` must be ``kind``, a key of ``_KINDS``.
+    A ``hint`` stands in the message in place of "(got v)"."""
+
+    param: str
+    kind: str
+    hint: str = ""
+
+    def problem(self, p):
+        holds, words = _KINDS[self.kind]
+        v = p[self.param]
+        if not holds(v):
+            return "%s must %s%s" % (self.param, words,
+                                     "; " + self.hint if self.hint else " (got %r)" % v)
+        return None
+
+
+class Cross(NamedTuple):
+    """Rule on several parameters: ``text`` states it, and ``problem(p)``
+    returns the message after "<family>: " when p breaks it, else None."""
+
+    text: str
+    problem: Callable
+
+
+def _positive(*names):
+    return tuple(Bound(n, ">0") for n in names)
+
+
 @dataclass(frozen=True)
 class Family:
     name: str
     label: str
     params: tuple
-    check: Callable                      # raises ParamError on bad params
-    support: Callable                    # params -> (lo, hi)
+    rules: tuple                         # the parameter box: Bound and Cross rules, checked in order
     support_desc: str
     quantile: Optional[Callable]         # (u array, params) -> t array; None => numeric only
     hazard: Callable                     # (t array inside the support, params) -> H = -ln SF
+    support: Callable = lambda p: (0.0, _INF)    # params -> (lo, hi)
     printed_quantile: Optional[Callable] = None  # catalogued form when it differs
     note: str = ""
     u_max: Optional[Callable] = None     # params -> valid u upper bound
@@ -128,14 +168,6 @@ class Family:
     def corrected(self):
         """True when ``quantile`` is a corrected derivation of a wrong printed form."""
         return self.printed_quantile is not None
-
-
-def _pos(*names):
-    def check(fam, p):
-        for n in names:
-            if not p[n] > 0.0:
-                raise ParamError("%s: %s must be positive (got %r)" % (fam, n, p[n]))
-    return check
 
 
 _FAMILIES = {}
@@ -160,8 +192,7 @@ _register(Family(
     name="weibull2",
     label="Weibull",
     params=("a", "b"),
-    check=lambda p: _pos("a", "b")("weibull2", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b"),
     support_desc="[0, inf)",
     hazard=_h_weibull2,
     quantile=_q_weibull2,
@@ -176,22 +207,12 @@ def _q_gompertz2(u, p):
     return np.log1p((p["b"] / p["a"]) * _L(u)) / p["b"]
 
 
-def _check_gompertz2(p):
-    if not p["a"] > 0.0:
-        raise ParamError("gompertz2: a must be positive (got %r)" % p["a"])
-    if p["b"] == 0.0:
-        raise ParamError(
-            "gompertz2: b must be nonzero; the b = 0 limit is the exponential, "
-            "use weibull2 with b = 1"
-        )
-
-
 _register(Family(
     name="gompertz2",
     label="Gompertz",
     params=("a", "b"),
-    check=_check_gompertz2,
-    support=lambda p: (0.0, _INF),
+    rules=(Bound("a", ">0"),
+           Bound("b", "!=0", "the b = 0 limit is the exponential, use weibull2 with b = 1")),
     support_desc="[0, inf)",
     hazard=_h_gompertz2,
     quantile=_q_gompertz2,
@@ -209,16 +230,11 @@ def _q_trunc_log_weibull(u, p):
     return p["a"] + p["b"] * np.log(_L(u))
 
 
-def _check_trunc_log_weibull(p):
-    if not p["b"] > 0.0:
-        raise ParamError("trunc_log_weibull: b must be positive (got %r)" % p["b"])
-
-
 _register(Family(
     name="trunc_log_weibull",
     label="log-Weibull (Gumbel minimum)",
     params=("a", "b"),
-    check=_check_trunc_log_weibull,
+    rules=(Bound("b", ">0"),),
     support=lambda p: (-_INF, _INF),
     support_desc="(-inf, inf)",
     hazard=_h_trunc_log_weibull,
@@ -254,8 +270,7 @@ _register(Family(
     name="flexible_weibull",
     label="flexible Weibull",
     params=("a", "b"),
-    check=lambda p: _pos("a", "b")("flexible_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b"),
     support_desc="(0, inf)",
     hazard=_h_flexible_weibull,
     quantile=_q_flexible_weibull,
@@ -276,19 +291,11 @@ def _q_pham(u, p):
     return (np.log1p(_L(u)) / math.log(p["a"])) ** (1.0 / p["b"])
 
 
-def _check_pham(p):
-    if not p["a"] > 1.0:
-        raise ParamError("pham: a must exceed 1 (got %r)" % p["a"])
-    if not p["b"] > 0.0:
-        raise ParamError("pham: b must be positive (got %r)" % p["b"])
-
-
 _register(Family(
     name="pham",
     label="Pham loglog",
     params=("a", "b"),
-    check=_check_pham,
-    support=lambda p: (0.0, _INF),
+    rules=(Bound("a", ">1"), Bound("b", ">0")),
     support_desc="[0, inf)",
     hazard=_h_pham,
     quantile=_q_pham,
@@ -309,8 +316,7 @@ _register(Family(
     name="exp_weibull",
     label="exponentiated Weibull",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("exp_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_exp_weibull,
     quantile=_q_exp_weibull,
@@ -334,8 +340,7 @@ _register(Family(
     name="mod_weibull_ext",
     label="modified Weibull extension",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("mod_weibull_ext", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_mod_weibull_ext,
     quantile=_q_mod_weibull_ext,
@@ -362,8 +367,7 @@ _register(Family(
     name="exp_inv_weibull",
     label="exponentiated inverse Weibull",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("exp_inv_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="(0, inf)",
     hazard=_h_exp_inv_weibull,
     quantile=_q_exp_inv_weibull,
@@ -371,14 +375,30 @@ _register(Family(
 
 
 def _h_gen_weibull(t, p):
-    # SF = (1 - a c t^b)^(1/c), zero from the endpoint on
-    return -np.log1p(-np.minimum(p["a"] * p["c"] * t ** p["b"], 1.0)) / p["c"]
+    # SF = (1 - x)^(1/c) with x = a c t^b = (t/hi)^b.  Once x passes 1/2, 1 - x
+    # is formed from t - hi, which is exact there (Sterbenz)
+    b, c = p["b"], p["c"]
+    x = p["a"] * c * t ** b
+    h = -np.log1p(-x) / c
+    near = x > 0.5
+    if near.any():
+        hi = _gen_weibull_hi(p)
+        h[near] = -np.log(-np.expm1(b * np.log1p((t[near] - hi) / hi))) / c
+    return h
 
 
 def _q_gen_weibull(u, p):
-    c = p["c"]
-    num = -np.expm1(c * np.log1p(-u))  # 1 - (1-u)^c
-    return (num / (p["a"] * c)) ** (1.0 / p["b"])
+    # (t/hi)^b = 1 - (1-u)^c.  Once that passes 1/2, t = hi (1 - (1-u)^c)^(1/b)
+    # is carried in logs, so that t keeps its distance from hi (there
+    # log_s = ln (1-u)^c < -ln 2, and ln(1 - e^log_s) is log1p(-e^log_s))
+    b, c = p["b"], p["c"]
+    log_s = np.asarray(c * np.log1p(-u))
+    num = -np.expm1(log_s)
+    t = np.asarray((num / (p["a"] * c)) ** (1.0 / b))
+    near = num > 0.5
+    if near.any():
+        t[near] = _gen_weibull_hi(p) * np.exp(np.log1p(-np.exp(log_s[near])) / b)
+    return t[()]
 
 
 def _gen_weibull_hi(p):
@@ -389,20 +409,19 @@ def _gen_weibull_hi(p):
         return _INF
 
 
-def _check_gen_weibull(p):
-    _pos("a", "b", "c")("gen_weibull", p)
+def _gen_weibull_endpoint(p):
     hi = _gen_weibull_hi(p)
     if not 0.0 < hi < _INF:
-        raise ParamError("gen_weibull: the upper endpoint (a*c)^(-1/b) %s for a=%r, b=%r, c=%r"
-                         % ("underflows to 0" if hi == 0.0 else "overflows",
-                            p["a"], p["b"], p["c"]))
+        return ("the upper endpoint (a*c)^(-1/b) %s for a=%r, b=%r, c=%r"
+                % ("underflows to 0" if hi == 0.0 else "overflows", p["a"], p["b"], p["c"]))
+    return None
 
 
 _register(Family(
     name="gen_weibull",
     label="generalized Weibull",
     params=("a", "b", "c"),
-    check=_check_gen_weibull,
+    rules=_positive("a", "b", "c") + (Cross("0 < (a*c)^(-1/b) < inf", _gen_weibull_endpoint),),
     # the survival function hits zero where a*c*t^b = 1, i.e. t = (a c)^(-1/b)
     support=lambda p: (0.0, _gen_weibull_hi(p)),
     support_desc="[0, (a*c)^(-1/b))",
@@ -441,8 +460,7 @@ _register(Family(
     name="ext_weibull",
     label="extended Weibull (Marshall-Olkin)",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("ext_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_ext_weibull,
     quantile=_q_ext_weibull,
@@ -468,8 +486,7 @@ _register(Family(
     name="gen_power_weibull",
     label="generalized power Weibull",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("gen_power_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_gen_power_weibull,
     quantile=_q_gen_power_weibull,
@@ -490,8 +507,7 @@ _register(Family(
     name="odd_weibull",
     label="odd Weibull",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("odd_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_odd_weibull,
     quantile=_q_odd_weibull,
@@ -507,19 +523,20 @@ def _q_kies4(u, p):
     return (p["a"] + p["b"] * m) / (1.0 + m)
 
 
-def _check_kies4(p):
+def _endpoint_order(p):
     if not 0.0 <= p["a"] < p["b"]:
-        raise ParamError(
-            "kies4: endpoints must satisfy 0 <= a < b (got a=%r, b=%r)" % (p["a"], p["b"])
-        )
-    _pos("c", "d")("kies4", p)
+        return "endpoints must satisfy 0 <= a < b (got a=%r, b=%r)" % (p["a"], p["b"])
+    return None
+
+
+_ENDPOINT_ORDER = Cross("0 <= a < b", _endpoint_order)  # kies4 and phani5
 
 
 _register(Family(
     name="kies4",
     label="Kies",
     params=("a", "b", "c", "d"),
-    check=_check_kies4,
+    rules=(_ENDPOINT_ORDER,) + _positive("c", "d"),
     support=lambda p: (p["a"], p["b"]),
     support_desc="[a, b)",
     hazard=_h_kies4,
@@ -555,8 +572,7 @@ _register(Family(
     name="exp_kum_weibull5",
     label="exponentiated Kumaraswamy Weibull",
     params=("a", "b", "c", "d", "e"),
-    check=lambda p: _pos("a", "b", "c", "d", "e")("exp_kum_weibull5", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c", "d", "e"),
     support_desc="[0, inf)",
     hazard=_h_exp_kum_weibull5,
     quantile=_q_exp_kum_weibull5,
@@ -588,21 +604,12 @@ def _q_lai_weibull3(u, p):
     return (b / c) * _w0(arg)
 
 
-def _check_lai_weibull3(p):
-    _pos("a", "b")("lai_weibull3", p)
-    if not p["c"] > 0.0:
-        raise ParamError(
-            "lai_weibull3: c must be positive; the c = 0 limit has no "
-            "exponential tilt and is exactly weibull2(a, b)"
-        )
-
-
 _register(Family(
     name="lai_weibull3",
     label="modified Weibull (exponential tilt)",
     params=("a", "b", "c"),
-    check=_check_lai_weibull3,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b") + (Bound("c", ">0", "the c = 0 limit has no exponential "
+                                              "tilt and is exactly weibull2(a, b)"),),
     support_desc="[0, inf)",
     hazard=_h_lai_weibull3,
     quantile=_q_lai_weibull3,
@@ -620,21 +627,12 @@ def _q_inv_mod_weibull(u, p):
     return (c / b) / _w0(arg)
 
 
-def _check_inv_mod_weibull(p):
-    _pos("a", "b")("inv_mod_weibull", p)
-    if not p["c"] > 0.0:
-        raise ParamError(
-            "inv_mod_weibull: c must be positive; the c = 0 limit is the "
-            "inverse Weibull, use exp_inv_weibull with b = 1"
-        )
-
-
 _register(Family(
     name="inv_mod_weibull",
     label="inverse modified Weibull",
     params=("a", "b", "c"),
-    check=_check_inv_mod_weibull,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b") + (Bound("c", ">0", "the c = 0 limit is the inverse Weibull, "
+                                              "use exp_inv_weibull with b = 1"),),
     support_desc="(0, inf)",
     hazard=_h_inv_mod_weibull,
     quantile=_q_inv_mod_weibull,
@@ -646,21 +644,11 @@ def _h_xie_lai3(t, p):
     return at ** p["b"] + at ** (1.0 / p["b"]) + p["c"] * t
 
 
-def _check_xie_lai3(p):
-    if not p["a"] >= 0.0:
-        raise ParamError("xie_lai3: a must be nonnegative (got %r)" % p["a"])
-    if not p["b"] > 1.0:
-        raise ParamError("xie_lai3: b must exceed 1 (got %r)" % p["b"])
-    if not p["c"] > 0.0:
-        raise ParamError("xie_lai3: c must be positive (got %r)" % p["c"])
-
-
 _register(Family(
     name="xie_lai3",
     label="Xie-Lai conjugate-shape Weibull",
     params=("a", "b", "c"),
-    check=_check_xie_lai3,
-    support=lambda p: (0.0, _INF),
+    rules=(Bound("a", ">=0"), Bound("b", ">1"), Bound("c", ">0")),
     support_desc="[0, inf)",
     hazard=_h_xie_lai3,
     quantile=None,
@@ -683,21 +671,12 @@ def _q_gen_mod_weibull(u, p):
     return (c / b) * _w0(arg)
 
 
-def _check_gen_mod_weibull(p):
-    _pos("a", "c", "d")("gen_mod_weibull", p)
-    if not p["b"] > 0.0:
-        raise ParamError(
-            "gen_mod_weibull: b must be positive; the b = 0 limit has no "
-            "exponential tilt and is exactly exp_weibull(a, c, d)"
-        )
-
-
 _register(Family(
     name="gen_mod_weibull",
     label="generalized modified Weibull",
     params=("a", "b", "c", "d"),
-    check=_check_gen_mod_weibull,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "c", "d") + (Bound("b", ">0", "the b = 0 limit has no exponential "
+                                                   "tilt and is exactly exp_weibull(a, c, d)"),),
     support_desc="[0, inf)",
     hazard=_h_gen_mod_weibull,
     quantile=_q_gen_mod_weibull,
@@ -715,22 +694,14 @@ def _q_shifted_mod_weibull(u, p):
     return p["d"] + (b / c) * _w0(arg)
 
 
-def _check_shifted_mod_weibull(p):
-    _pos("a", "b")("shifted_mod_weibull", p)
-    if not p["c"] > 0.0:
-        raise ParamError(
-            "shifted_mod_weibull: c must be positive; the c = 0 limit has no "
-            "exponential tilt and is a shifted weibull2(a^b, b)"
-        )
-    if not p["d"] >= 0.0:
-        raise ParamError("shifted_mod_weibull: d must be nonnegative (got %r)" % p["d"])
-
-
 _register(Family(
     name="shifted_mod_weibull",
     label="shifted modified Weibull",
     params=("a", "b", "c", "d"),
-    check=_check_shifted_mod_weibull,
+    rules=_positive("a", "b") + (
+        Bound("c", ">0", "the c = 0 limit has no exponential tilt and is a shifted "
+                         "weibull2(a^b, b)"),
+        Bound("d", ">=0")),
     support=lambda p: (p["d"], _INF),
     support_desc="[d, inf)",
     hazard=_h_shifted_mod_weibull,
@@ -746,8 +717,7 @@ _register(Family(
     name="additive_weibull",
     label="additive Weibull",
     params=("a", "b", "c", "d"),
-    check=lambda p: _pos("a", "b", "c", "d")("additive_weibull", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c", "d"),
     support_desc="[0, inf)",
     hazard=_h_additive_weibull,
     quantile=None,
@@ -762,23 +732,13 @@ def _h_nadarajah_kotz(t, p):
     return p["a"] * t ** p["b"] * np.expm1(p["c"] * t ** p["d"])
 
 
-def _check_nadarajah_kotz(p):
-    _pos("a", "d")("nadarajah_kotz", p)
-    if not p["b"] >= 0.0:
-        raise ParamError("nadarajah_kotz: b must be nonnegative (got %r)" % p["b"])
-    if not p["c"] > 0.0:
-        raise ParamError(
-            "nadarajah_kotz: c must be positive; c = 0 makes the survival "
-            "function identically 1"
-        )
-
-
 _register(Family(
     name="nadarajah_kotz",
     label="Nadarajah-Kotz Weibull extension",
     params=("a", "b", "c", "d"),
-    check=_check_nadarajah_kotz,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "d") + (
+        Bound("b", ">=0"),
+        Bound("c", ">0", "c = 0 makes the survival function identically 1")),
     support_desc="[0, inf)",
     hazard=_h_nadarajah_kotz,
     quantile=None,
@@ -801,21 +761,13 @@ def _q_kum_mod_weibull(u, p):
     return (d / mu) * _w0(arg)
 
 
-def _check_kum_mod_weibull(p):
-    _pos("a", "b", "c", "d")("kum_mod_weibull", p)
-    if not p["mu"] > 0.0:
-        raise ParamError(
-            "kum_mod_weibull: mu must be positive; the mu = 0 limit has no "
-            "exponential tilt (a plain Kumaraswamy-Weibull, not registered here)"
-        )
-
-
 _register(Family(
     name="kum_mod_weibull",
     label="Kumaraswamy modified Weibull",
     params=("a", "b", "c", "d", "mu"),
-    check=_check_kum_mod_weibull,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c", "d") + (
+        Bound("mu", ">0", "the mu = 0 limit has no exponential tilt (a plain "
+                          "Kumaraswamy-Weibull, not registered here)"),),
     support_desc="[0, inf)",
     hazard=_h_kum_mod_weibull,
     quantile=_q_kum_mod_weibull,
@@ -826,19 +778,11 @@ def _h_phani5(t, p):
     return p["c"] * (t - p["a"]) ** p["d"] / (p["b"] - t) ** p["e"]
 
 
-def _check_phani5(p):
-    if not 0.0 <= p["a"] < p["b"]:
-        raise ParamError(
-            "phani5: endpoints must satisfy 0 <= a < b (got a=%r, b=%r)" % (p["a"], p["b"])
-        )
-    _pos("c", "d", "e")("phani5", p)
-
-
 _register(Family(
     name="phani5",
     label="Phani five-parameter Kies extension",
     params=("a", "b", "c", "d", "e"),
-    check=_check_phani5,
+    rules=(_ENDPOINT_ORDER,) + _positive("c", "d", "e"),
     support=lambda p: (p["a"], p["b"]),
     support_desc="[a, b)",
     hazard=_h_phani5,
@@ -866,8 +810,7 @@ _register(Family(
     name="mod_log_logistic",
     label="modified log-logistic",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("mod_log_logistic", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=lambda t, p: _h_lomax_like(t, p, 1.0),
     quantile=lambda u, p: _q_lomax_like(u, p, 1.0),
@@ -929,8 +872,7 @@ _register(Family(
     name="gompertz_makeham",
     label="Gompertz-Makeham",
     params=("a", "b", "c"),
-    check=lambda p: _pos("a", "b", "c")("gompertz_makeham", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
     hazard=_h_gompertz_makeham,
     quantile=_q_gompertz_makeham,
@@ -941,8 +883,7 @@ _register(Family(
     name="mod_power_lomax",
     label="modified power Lomax",
     params=("a", "b", "c", "d"),
-    check=lambda p: _pos("a", "b", "c", "d")("mod_power_lomax", p),
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c", "d"),
     support_desc="[0, inf)",
     hazard=lambda t, p: _h_lomax_like(t, p, p["d"]),
     quantile=lambda u, p: _q_lomax_like(u, p, p["d"]),
@@ -969,17 +910,11 @@ def _q_mod_pareto4_printed(u, p):
     return p["mu"] + _w0(g ** b) / (c * b)
 
 
-def _check_mod_pareto4(p):
-    _pos("a", "b", "c", "d")("mod_pareto4", p)
-    if not p["mu"] >= 0.0:
-        raise ParamError("mod_pareto4: mu must be nonnegative (got %r)" % p["mu"])
-
-
 _register(Family(
     name="mod_pareto4",
     label="modified Pareto IV",
     params=("a", "b", "c", "d", "mu"),
-    check=_check_mod_pareto4,
+    rules=_positive("a", "b", "c", "d") + (Bound("mu", ">=0"),),
     support=lambda p: (p["mu"], _INF),
     support_desc="[mu, inf)",
     hazard=_h_mod_pareto4,
@@ -1022,18 +957,11 @@ def _q_mod_lognormal_printed(u, p):
     return out
 
 
-def _check_mod_lognormal(p):
-    _pos("a", "b", "c", "mu")("mod_lognormal", p)
-    if not p["d"] >= 0.0:
-        raise ParamError("mod_lognormal: d must be nonnegative (got %r)" % p["d"])
-
-
 _register(Family(
     name="mod_lognormal",
     label="modified lognormal",
     params=("a", "b", "c", "d", "mu"),
-    check=_check_mod_lognormal,
-    support=lambda p: (0.0, _INF),
+    rules=_positive("a", "b", "c", "mu") + (Bound("d", ">=0"),),
     support_desc="(0, inf)",
     hazard=_h_mod_lognormal,
     quantile=_q_mod_lognormal,
@@ -1067,9 +995,10 @@ def has_analytic_quantile(name):
 
 
 def validate(family, **params):
-    """Check parameters against the family's constraints and build a spec.
+    """Check parameters against the family's parameter box and build a spec.
 
-    Raises ParamError naming the violated constraint; the returned
+    Raises ParamError naming the first rule of ``Family.rules`` that the
+    parameters break; the returned
     DistributionSpec carries the normalized support interval (and, for
     defective parameterizations, the valid quantile range u_max).
     """
@@ -1090,7 +1019,10 @@ def validate(family, **params):
     for k, v in p.items():
         if not math.isfinite(v):
             raise ParamError("%s: %s must be finite (got %r)" % (family, k, v))
-    fam.check(p)
+    for rule in fam.rules:
+        problem = rule.problem(p)
+        if problem:
+            raise ParamError("%s: %s" % (family, problem))
     lo, hi = fam.support(p)
     u_max = fam.u_max(p) if fam.u_max is not None else 1.0
     spec = DistributionSpec(family=family, params=p, support=(lo, hi), u_max=u_max)

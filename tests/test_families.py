@@ -644,6 +644,27 @@ def test_gen_weibull_overflowing_endpoint_raises_a_param_error(params, shown):
     assert str(info.value) == "gen_weibull: the upper endpoint (a*c)^(-1/b) overflows for " + shown
 
 
+@pytest.mark.parametrize("params", [
+    dict(a=1.0, b=1.0, c=1.0), dict(a=0.5, b=2.0, c=0.5), dict(a=2.0, b=0.7, c=2.0),
+    dict(a=3.47, b=0.682, c=42.9), dict(a=0.65, b=2.42, c=20.8),
+])
+def test_gen_weibull_quantiles_are_certified_in_both_tails_and_between(params):
+    # next to hi, SF = (1 - (t/hi)^b)^(1/c) moves by up to 1e-8 per ulp of t
+    # (a=2, b=.7, c=2), and a large c puts most of the mass there: each t must
+    # lie within 1e-9 of u in F, or between neighbours whose F brackets u
+    spec = validate("gen_weibull", **params)
+    lo, hi = spec.support
+    u = np.concatenate([np.geomspace(2.0 ** -54, 1e-3, 2000),
+                        np.linspace(1e-3, 1.0 - 1e-3, 2000),
+                        1.0 - np.geomspace(2.0 ** -53, 1e-3, 2000)])
+    t = quantile_values(spec, u)
+    close = np.abs(cdf(spec, t) - u) <= 1e-9
+    bracketed = ((cdf(spec, np.nextafter(t, -np.inf)) <= u)
+                 & (u <= cdf(spec, np.nextafter(t, np.inf))))
+    bad = ~((t >= lo) & (t <= hi) & (close | bracketed))
+    assert not bad.any(), "%d of %d fail, first at u=%r" % (bad.sum(), u.size, u[bad][0])
+
+
 @pytest.mark.parametrize("family,params,u", [
     ("exp_weibull", {"a": 2.0, "b": 0.8, "c": 0.5}, 3e-9),
     ("exp_kum_weibull5", {"a": 0.7, "b": 2.0, "c": 0.5, "d": 2.0, "e": 0.8}, 3e-9),

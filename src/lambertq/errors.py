@@ -18,4 +18,5 @@ class NoAnalyticFormError(LambertQError):
 
 
 class BracketError(LambertQError, RuntimeError):
-    """Numeric inversion could not bracket a root (invalid spec or support)."""
+    """No finite quantile inside the support: numeric inversion could not bracket
+    a root, or the analytic form left the doubles."""

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._arrays import bounds
-from .errors import DomainError, NoAnalyticFormError, ParamError
+from .errors import BracketError, DomainError, NoAnalyticFormError, ParamError
 from .lambertw import w_principal, w_principal_from_log
 from .normal import std_normal_cdf, std_normal_quantile
 
@@ -494,12 +494,25 @@ _register(Family(
 
 
 def _h_odd_weibull(t, p):
-    # SF = 1 / (1 + (exp(a t^b) - 1)^c)
-    return np.log1p(np.expm1(p["a"] * t ** p["b"]) ** p["c"])
+    # SF = 1 / (1 + (exp(x) - 1)^c), x = a t^b.  Where (e^x - 1)^c overflows,
+    # H = c ln(e^x - 1) = c (x + ln(1 - e^-x)) to double precision
+    x = np.asarray(p["a"] * t ** p["b"])
+    h = np.asarray(np.log1p(np.expm1(x) ** p["c"]))
+    over = h == _INF
+    if over.any():
+        h[over] = p["c"] * (x[over] + np.log1p(-np.exp(-x[over])))
+    return h[()]
 
 
 def _q_odd_weibull(u, p):
-    inner = np.log1p((u / (1.0 - u)) ** (1.0 / p["c"]))
+    # ln(1 + r^(1/c)), r = u/(1-u).  Where r^(1/c) overflows, the 1 lies below
+    # its last bit, and the log is taken in logs: (ln u - ln(1-u))/c
+    c = p["c"]
+    inner = np.asarray(np.log1p((u / (1.0 - u)) ** (1.0 / c)))
+    over = inner == _INF
+    if over.any():
+        u_over = np.asarray(u)[over]
+        inner[over] = (np.log(u_over) - np.log1p(-u_over)) / c
     return (inner / p["a"]) ** (1.0 / p["b"])
 
 
@@ -828,17 +841,23 @@ def _gm_log_arg(l_u, p):
 
 
 def _q_gompertz_makeham(u, p):
-    # final catalogued form: t = (1/c) ln[(a/b) W(A)].  Its outer log cancels
-    # where c t is small; there one Newton step on a t + (b/c) expm1(c t) = L(u)
-    # from t0 = L(u)/(a + b) is exact to about (c t)^3/8 relative.  Where ln A
-    # overflows, a t lies below the last bit of L(u), and t is the a -> 0 limit
-    # ln(1 + c L(u)/b)/c, taken in logs because c L(u)/b may overflow too
+    # final catalogued form: t = (1/c) ln[(a/b) W(A)].  (a/b) W(A) = e^(c t) is
+    # formed before the log, so ln W does not cancel against ln(a/b) at tiny a;
+    # where it overflows (c L(u)/b past the largest double), ln W + ln(a/b)
+    # stands in.  The outer log cancels where c t is small; there one Newton
+    # step on a t + (b/c) expm1(c t) = L(u) from t0 = L(u)/(a + b) is exact to
+    # about (c t)^3/8 relative.  Where ln A overflows, a t lies below the last
+    # bit of L(u), and t is the a -> 0 limit ln(1 + c L(u)/b)/c, taken in logs
+    # because c L(u)/b may overflow too
     a, b, c = p["a"], p["b"], p["c"]
     l_u = np.asarray(_L(u))
     log_arg = _gm_log_arg(l_u, p)
     over = ~np.isfinite(log_arg)
-    t = np.asarray((np.log(w_principal_from_log(np.where(over, 0.0, log_arg)))
-                    + math.log(a / b)) / c)
+    w = np.asarray(w_principal_from_log(np.where(over, 0.0, log_arg)))
+    t = np.asarray(np.log((a / b) * w) / c)
+    big = t == _INF
+    if big.any():
+        t[big] = (np.log(w[big]) + math.log(a / b)) / c
     if over.any():
         t[over] = np.logaddexp(0.0, math.log(c) - math.log(b) + np.log(l_u[over])) / c
     small = c * t < 1e-4
@@ -1121,7 +1140,10 @@ def quantile(spec, u):
 def quantile_values(spec, u):
     """Vectorized analytic quantile values without result metadata.
 
-    Same preconditions as ``quantile``; the sampler uses it directly.
+    Same preconditions as ``quantile``; the sampler uses it directly.  Keeps
+    the numeric route's contract: t lies in the support [lo, hi] (a t past an
+    end by roundoff is set to that end), and a t that is not a finite double
+    raises BracketError, as ``invert_cdf`` does where no bracket exists.
     """
     fam = family_info(spec.family)
     if fam.quantile is None:
@@ -1131,7 +1153,17 @@ def quantile_values(spec, u):
     v = np.asarray(u, dtype=float)
     _check_u_open(v, spec)
     with np.errstate(all="ignore"):
-        return fam.quantile(v, spec.params)
+        t = fam.quantile(v, spec.params)
+    t_min, t_max = bounds(np.asarray(t))  # a NaN anywhere makes both NaN
+    if not (-_INF < t_min and t_max < _INF):
+        worst = float(v[~np.isfinite(t)].max())
+        raise BracketError(
+            "%s: the analytic quantile is not a finite double for u up to %r (survival "
+            "mass may remain beyond the largest double)" % (spec.family, worst))
+    lo, hi = spec.support
+    if t_min < lo or t_max > hi:
+        t = np.clip(t, lo, hi)
+    return t
 
 
 def wl_hazard(a, b, c, t):

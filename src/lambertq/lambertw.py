@@ -1,26 +1,28 @@
 """Real branches of the Lambert W function.
 
-Solves w * exp(w) = x in the form ln|w| + w = ln|x| with exactly two
-Fritsch-Shafer-Crowley steps (Fritsch, Shafer & Crowley, CACM 16(2),
+Every entry runs one solver on x and ln|x|: ln|w| + w = ln|x|, with exactly
+two Fritsch-Shafer-Crowley steps (Fritsch, Shafer & Crowley, CACM 16(2),
 1973) from regime-specific starting guesses:
 
 - W0: the square-root expansion in p = sqrt(2*(e*x + 1)) about the branch
   point -1/e for x < -0.27, log1p(x) on [-0.27, e], and the asymptotic
-  form ln(x) - ln(ln(x)) + ln(ln(x))/ln(x) above e;
+  form ln(x) - ln(ln(x)) + ln(ln(x))/ln(x) above e (Corless et al., 1996);
 - W-1: the same expansion with p < 0 for x < -0.2, and
   ln(-x) - ln(-ln(-x)) above that, toward 0-.
 
-Within 1e-5 of the branch point the expansion alone is kept, as is w = 0
-at x = 0; those points report 0 iterations, every other point reports 2.
-Every evaluation reports the defining-identity residual
-|w*exp(w) - x| / max(|x|, 1e-300) and the iteration count alongside the
-value, so callers can audit precision directly.
+The start alone is kept within 1e-5 of the branch point, at x = 0 and where
+ln x > 1e300 (there the asymptotic form is exact); those points report 0
+iterations, every other point 2.  ``w_principal`` and ``w_lower`` pass
+np.log(|x|) and report the identity residual |w*exp(w) - x| / max(|x|, 1e-300)
+and the iteration count alongside the value.  ``tree_t`` solves at -x.
+``w_principal_from_log`` passes log_x itself with x = exp(log_x), +inf past
+709.78, where the start and the steps read only ln x.
 
 An array's range is read once, by ``bounds``: one ``item()`` on one point,
 one min and one max on more (a NaN makes both NaN).  The bulk start (log1p(x)
 for W0, the logarithmic form for W-1) and the two steps cover the whole array;
-the other starts, and the window and x = 0 points, are masked in only where the
-range says the array has such points.  No point depends on the others.
+the other starts, and the points that keep their start, are masked in only
+where the range says the array has such points.  No point depends on the others.
 
 The principal branch W0 covers x >= -1/e with W0 >= -1; the lower branch
 W-1 covers -1/e <= x < 0 with W-1 <= -1.  Inputs up to 1e-15 below the
@@ -43,6 +45,7 @@ __all__ = ["Branch", "WEvaluation", "w_principal", "w_lower", "w_series", "tree_
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where both real branches meet at w = -1
 _CLAMP_BELOW = 1e-15             # tolerated undershoot below -1/e from roundoff
 _EXPANSION_WINDOW = 1e-5         # |x + 1/e| below this: branch expansion alone
+_LOG_EXACT = 1e300               # ln x above this: the asymptotic start is W0 exactly
 
 # Taylor coefficients of W0 about 0: W0(x) = sum_{n>=1} (-n)^(n-1)/n! * x^n.
 # Exact rationals keep each coefficient within one rounding of true.
@@ -104,6 +107,36 @@ def _refine(w, log_x):
     return w
 
 
+def _solve(x, lx, lo, hi, branch):
+    """W(x) and iterations per point, from x, lx = ln|x| and x's range lo, hi.
+
+    x = +inf is allowed on W0, where lx holds its finite log.  Above
+    lx = 1e300, 2(1 + w) inside a step would overflow.  Callers hold an
+    ``np.errstate``."""
+    # the bulk start covers the whole block; the others only where it has points
+    if branch is Branch.PRINCIPAL:
+        w0 = np.log1p(x)
+        if hi > math.e:
+            m = x > math.e
+            w0[m] = _asymptotic(lx[m])
+        split = -0.27
+    else:
+        w0 = lx - np.log(-lx)
+        split = -0.2
+    if lo < split:
+        m = x < split
+        p = np.sqrt(2.0 * math.e * (x[m] - _BRANCH_POINT))
+        w0[m] = _branch_expansion(p if branch is Branch.PRINCIPAL else -p)
+    w = _refine(w0, lx)
+    iters = np.full(x.shape, 2)
+    # the start is already W here: ~1e-12 next to the branch point, exact at 0 and past 1e300
+    if lo - _BRANCH_POINT <= _EXPANSION_WINDOW or lo <= 0.0 <= hi or hi == math.inf:
+        keep = (x - _BRANCH_POINT <= _EXPANSION_WINDOW) | (x == 0.0) | (lx > _LOG_EXACT)
+        w[keep] = w0[keep]
+        iters[keep] = 0
+    return w, iters
+
+
 def _evaluate(x, branch):
     arr = np.asarray(x, dtype=float)
     v = np.atleast_1d(arr)
@@ -120,28 +153,7 @@ def _evaluate(x, branch):
         v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
 
     with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
-        lx = np.log(np.abs(v))
-        # the bulk start covers the whole block; the others only where it has points
-        if branch is Branch.PRINCIPAL:
-            w0 = np.log1p(v)
-            if hi > math.e:
-                m = v > math.e
-                w0[m] = _asymptotic(lx[m])
-            split = -0.27
-        else:
-            w0 = lx - np.log(-lx)
-            split = -0.2
-        if lo < split:
-            m = v < split
-            p = np.sqrt(2.0 * math.e * (v[m] - _BRANCH_POINT))
-            w0[m] = _branch_expansion(p if branch is Branch.PRINCIPAL else -p)
-        w = _refine(w0, lx)
-        iters = np.full(v.shape, 2)
-        # the expansion alone is already ~1e-12 accurate next to the branch point
-        if lo - _BRANCH_POINT <= _EXPANSION_WINDOW or lo <= 0.0 <= hi:
-            keep = (v - _BRANCH_POINT <= _EXPANSION_WINDOW) | (v == 0.0)
-            w[keep] = w0[keep]
-            iters[keep] = 0
+        w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
         res = np.abs(w * np.exp(w) - v) / np.maximum(np.abs(v), 1e-300)
     if arr.ndim == 0:
         return WEvaluation(float(w[0]), float(res[0]), int(iters[0]))
@@ -183,41 +195,27 @@ def w_series(x, n_terms):
 def tree_t(x):
     """Tree function T(x) = -W0(-x), defined for x <= 1/e."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
     v = np.atleast_1d(arr)
-    if np.any(~np.isfinite(v)):
+    lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
+    if not (-math.inf < lo and hi < math.inf):
         raise DomainError("tree_t: input must be finite")
-    if np.any(v > -_BRANCH_POINT + _CLAMP_BELOW):
-        raise DomainError("tree_t: x must be <= 1/e; got %r" % float(v.max()))
-    v = np.minimum(v, -_BRANCH_POINT)
-    out = -_evaluate(-v, Branch.PRINCIPAL).value
-    return float(out[0]) if scalar else out
-
-
-_LOG_DIRECT = 700.0  # below this, exp(log_x) is representable and W0 is direct
-_LOG_EXACT = 1e300   # above this, the asymptotic start is W0 to double precision
-
-
-def _from_large_log(ell):
-    """W0(exp(ell)) for ell > 700: two steps on w + ln(w) = ell from the
-    asymptotic start, or that start alone above 1e300, where it is already
-    exact and 2(1 + w) inside a step would overflow."""
-    w = _asymptotic(ell)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(ell > _LOG_EXACT, w, _refine(w, ell))
+    top = -_BRANCH_POINT  # 1/e
+    if hi > top + _CLAMP_BELOW:
+        raise DomainError("tree_t: x must be <= 1/e; got %r" % hi)
+    neg = -np.minimum(v, top)
+    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
+        out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
+                      Branch.PRINCIPAL)[0]
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def w_principal_from_log(log_x):
     """W0(exp(log_x)) without forming exp(log_x), for any log_x below +inf.
 
-    For log_x > 700 applies the same two Fritsch-Shafer-Crowley steps as
-    w_principal, on w + ln(w) = log_x, from the asymptotic start
-    log_x - ln(log_x) + ln(log_x)/log_x; above 1e300 that start is already
-    exact to double precision and is returned as it is.  Otherwise defers
-    to w_principal on exp(log_x), so log_x = -inf gives W0(0) = 0.  NaN and
-    +inf raise DomainError.  Returns the value only (no residual metadata)
-    -- this is plumbing for quantile formulas whose W argument overflows
-    double precision.
+    Runs w_principal's solver with log_x itself as ln x, so no step takes the
+    log of a rounded exp; log_x = -inf gives W0(0) = 0.  NaN and +inf raise
+    DomainError.  Returns the value only (no residual metadata) -- this is
+    plumbing for quantile formulas whose W argument overflows double precision.
     """
     arr = np.asarray(log_x, dtype=float)
     v = np.atleast_1d(arr)
@@ -225,12 +223,7 @@ def w_principal_from_log(log_x):
     if math.isnan(lo) or hi == math.inf:
         raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
                           % (lo if math.isnan(lo) else hi))
-    if hi <= _LOG_DIRECT:
-        out = _evaluate(np.exp(v), Branch.PRINCIPAL).value
-    else:
-        out = np.empty_like(v)
-        small = v <= _LOG_DIRECT
-        out[small] = _evaluate(np.exp(v[small]), Branch.PRINCIPAL).value
-        big = ~small
-        out[big] = _from_large_log(v[big])
+    with np.errstate(all="ignore"):  # exp overflows to +inf past 709.78
+        x = np.exp(v)
+        out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
     return float(out[0]) if arr.ndim == 0 else out

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import bisect
 
 import lambertq
 from lambertq import (
+    BracketError,
     DomainError,
     HazardShape,
     NoAnalyticFormError,
@@ -549,6 +551,66 @@ def test_gompertz_makeham_dual_forms_agree():
         q_main = quantile_values(spec, u)
         q_sub = gm_subtractive_quantile(spec, u)
         assert np.abs(q_main - q_sub).max() <= 1e-10
+
+
+def test_gompertz_makeham_tiny_a_matches_mpmath():
+    # ln W(A) and ln(a/b) are both near 704 here; t = ln((a/b) W)/c forms the
+    # product first, so the sum cannot cancel away the bits of t
+    mpmath.mp.dps = 50
+    a, b, c = 1e-306, 1.0, 1.0
+    spec = validate("gompertz_makeham", a=a, b=b, c=c)
+    for u in (0.01, 0.1, 0.5, 0.9):
+        l_u = -mpmath.log1p(-mpmath.mpf(u))
+        ref = mpmath.findroot(lambda x: a * x + (b / c) * mpmath.expm1(c * x) - l_u,
+                              mpmath.log1p(l_u))
+        t = quantile(spec, u).t
+        assert abs(t - ref) <= 1e-13 * ref, (u, t, ref)
+
+
+def test_exp_inv_weibull_sample_past_the_largest_double_raises_like_the_numeric_route():
+    # SF ~ a^b t^(-bc) with bc = 0.0023: the quantile of u above about 0.81 lies
+    # beyond the largest double, and both routes say so with the same error type
+    spec = validate("exp_inv_weibull", a=0.2704961323748166, b=0.005641574231324884,
+                    c=0.4096985196240187)
+    with pytest.raises(BracketError, match="exp_inv_weibull"):
+        lambertq.sample(spec, 10 ** 5, 1)
+    for route in (quantile, numeric_quantile):
+        with pytest.raises(BracketError, match="exp_inv_weibull"):
+            route(spec, 1.0 - 1e-6)
+    assert math.isfinite(quantile(spec, 0.5).t)
+
+
+def test_odd_weibull_upper_tail_where_the_odds_power_overflows():
+    # (u/(1-u))^(1/c) passes the largest double at u = 1 - 1e-12; ln(1 + r^(1/c))
+    # is then taken in logs, and H in turn where (e^x - 1)^c overflows
+    mpmath.mp.dps = 50
+    a, b, c = 0.5317394611668729, 0.7197963965656078, 0.03348239667961196
+    spec = validate("odd_weibull", a=a, b=b, c=c)
+    u = mpmath.mpf(1.0 - 1e-12)
+    ref = (mpmath.log1p((u / (1 - u)) ** (1 / mpmath.mpf(c))) / a) ** (1 / mpmath.mpf(b))
+    q = quantile(spec, 1.0 - 1e-12)
+    assert abs(q.t - ref) <= 1e-14 * ref, (q.t, ref)
+    assert q.roundtrip_residual <= 1e-15
+    assert numeric_quantile(spec, 1.0 - 1e-12).t == pytest.approx(q.t, rel=1e-12)
+
+
+def test_analytic_quantile_stays_inside_a_finite_support():
+    # kies4's closed form lands one ulp above hi = b at u = 1 - 1e-12
+    spec = validate("kies4", a=0.4035754668344999, b=2.987187959885532,
+                    c=0.3424755469625139, d=0.025661362234534867)
+    u = np.array([0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+    t = quantile_values(spec, u)
+    assert (t >= spec.support[0]).all() and (t <= spec.support[1]).all(), t
+    assert quantile(spec, 1.0 - 1e-12).t == spec.support[1]
+
+
+def test_quantile_values_of_a_zero_dimensional_u_passes_the_gate():
+    for spec in all_refspecs():
+        if has_analytic_quantile(spec.family):
+            one = quantile_values(spec, np.array([0.3]))
+            # NumPy's scalar and vector math may differ in the last bit
+            assert float(quantile_values(spec, np.float64(0.3))) == pytest.approx(
+                one[0], rel=1e-15, abs=0.0), spec.family
 
 
 def test_quantile_paths_by_family():

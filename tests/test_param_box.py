@@ -42,7 +42,22 @@ def hypothesis_home(tmp_path_factory):
 
 def box(fam):
     kinds = {r.param: r.kind for r in fam.rules if isinstance(r, Bound)}
-    return st.fixed_dictionaries({n: DRAW[kinds[n]] if n in kinds else FREE for n in fam.params})
+    draws = st.fixed_dictionaries({n: DRAW[kinds[n]] if n in kinds else FREE for n in fam.params})
+    free = [n for n in fam.params if n not in kinds]
+    cross = [r for r in fam.rules if isinstance(r, Cross)]
+    if not (free and cross):
+        return draws
+    # uniform draws rarely meet a Cross rule on free parameters (0 <= a < b:
+    # 1 in 8), so three draws in four try the sorted magnitudes instead
+    return st.tuples(draws, st.integers(0, 3)).map(
+        lambda d: _sorted_magnitudes(d[0], free, cross) if d[1] else d[0])
+
+
+def _sorted_magnitudes(p, free, cross):
+    """p with its free parameters replaced by their sorted magnitudes, where
+    that meets every Cross rule; p itself where it does not."""
+    q = {**p, **dict(zip(free, sorted(abs(p[n]) for n in free)))}
+    return p if any(r.problem(q) for r in cross) else q
 
 
 def outcome(family, params):

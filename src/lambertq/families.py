@@ -105,9 +105,16 @@ def _L(u):
     return -np.log1p(-u)
 
 
+_MINUS_LN2 = -math.log(2.0)
+
+
 def _log1mexp(x):
-    """ln(1 - exp(x)) for x < 0, accurate at both ends (Maechler 2012)."""
-    return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    """ln(1 - exp(x)) for x < 0, accurate at both ends (Maechler 2012).  One
+    point computes its side's form alone; a block computes both and selects,
+    since the sampler's and the verifier's blocks straddle -ln 2."""
+    if x.size == 1:
+        return np.log(-np.expm1(x)) if x.item() > _MINUS_LN2 else np.log1p(-np.exp(x))
+    return np.where(x > _MINUS_LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +540,8 @@ def _h_kies4(t, p):
 
 def _q_kies4(u, p):
     m = (_L(u) / p["c"]) ** (1.0 / p["d"])
-    return (p["a"] + p["b"] * m) / (1.0 + m)
+    # m = inf for a small d, where the ratio is inf/inf but t = b to the last bit
+    return np.where(m == _INF, p["b"], (p["a"] + p["b"] * m) / (1.0 + m))
 
 
 def _endpoint_order(p):

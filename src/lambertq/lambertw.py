@@ -23,6 +23,10 @@ one min and one max on more (a NaN makes both NaN).  The bulk start (log1p(x)
 for W0, the logarithmic form for W-1) and the two steps cover the whole array;
 the other starts, and the points that keep their start, are masked in only
 where the range says the array has such points.  No point depends on the others.
+One point (a scalar or a one-element array) is held in float64 scalars by
+``_solve_one``, which picks its start and keep test with ``if`` and calls the
+same start and step formulas, so it gets the bits it gets in an array without
+paying NumPy's per-call cost on one-element arrays.
 
 The principal branch W0 covers x >= -1/e with W0 >= -1; the lower branch
 W-1 covers -1/e <= x < 0 with W-1 <= -1.  Inputs up to 1e-15 below the
@@ -45,6 +49,8 @@ __all__ = ["Branch", "WEvaluation", "w_principal", "w_lower", "w_series", "tree_
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, where both real branches meet at w = -1
 _CLAMP_BELOW = 1e-15             # tolerated undershoot below -1/e from roundoff
 _EXPANSION_WINDOW = 1e-5         # |x + 1/e| below this: branch expansion alone
+_W0_SPLIT = -0.27                # W0 starts from the branch expansion below this x
+_WM1_SPLIT = -0.2                # and W-1 below this one
 _LOG_EXACT = 1e300               # ln x above this: the asymptotic start is W0 exactly
 
 # Taylor coefficients of W0 about 0: W0(x) = sum_{n>=1} (-n)^(n-1)/n! * x^n.
@@ -84,14 +90,31 @@ def _branch_expansion(p):
                  + p * (-43.0 / 540.0 + p * (769.0 / 17280.0)))))
 
 
+def _branch_start(x, branch):
+    """Start next to the branch point: the expansion at p >= 0 on W0, p <= 0 on W-1."""
+    p = np.sqrt(2.0 * math.e * (x - _BRANCH_POINT))
+    return _branch_expansion(p if branch is Branch.PRINCIPAL else -p)
+
+
 def _asymptotic(lx):
     """Start for large arguments from lx = ln(x): ln x - ln ln x + ln ln x / ln x."""
     llx = np.log(lx)
     return lx - llx + llx / lx
 
 
+def _lower_asymptotic(lx):
+    """W-1 start toward 0- from lx = ln(-x): ln(-x) - ln(-ln(-x))."""
+    return lx - np.log(-lx)
+
+
+def _keeps_start(x, lx):
+    """Where the start is already W: ~1e-12 next to the branch point, exact at 0
+    and past ln x = 1e300."""
+    return (x - _BRANCH_POINT <= _EXPANSION_WINDOW) | (x == 0.0) | (lx > _LOG_EXACT)
+
+
 def _refine(w, log_x):
-    """Two Fritsch-Shafer-Crowley steps on ln|w| + w = ln|x|, over the whole array.
+    """Two Fritsch-Shafer-Crowley steps on ln|w| + w = ln|x|, on an array or a scalar.
 
     Each step multiplies w by 1 + r(q - r)/(q - 2r), with z = ln|x| - ln|w| - w,
     r = z/(1 + w) and q = 2(1 + w + 2z/3).  From every start used here two
@@ -119,22 +142,42 @@ def _solve(x, lx, lo, hi, branch):
         if hi > math.e:
             m = x > math.e
             w0[m] = _asymptotic(lx[m])
-        split = -0.27
+        split = _W0_SPLIT
     else:
-        w0 = lx - np.log(-lx)
-        split = -0.2
+        w0 = _lower_asymptotic(lx)
+        split = _WM1_SPLIT
     if lo < split:
         m = x < split
-        p = np.sqrt(2.0 * math.e * (x[m] - _BRANCH_POINT))
-        w0[m] = _branch_expansion(p if branch is Branch.PRINCIPAL else -p)
+        w0[m] = _branch_start(x[m], branch)
     w = _refine(w0, lx)
     iters = np.full(x.shape, 2)
-    # the start is already W here: ~1e-12 next to the branch point, exact at 0 and past 1e300
     if lo - _BRANCH_POINT <= _EXPANSION_WINDOW or lo <= 0.0 <= hi or hi == math.inf:
-        keep = (x - _BRANCH_POINT <= _EXPANSION_WINDOW) | (x == 0.0) | (lx > _LOG_EXACT)
+        keep = _keeps_start(x, lx)
         w[keep] = w0[keep]
         iters[keep] = 0
     return w, iters
+
+
+def _solve_one(x, lx, branch):
+    """``_solve`` for one point held in float64 scalars: the same starts, steps
+    and keep test, picked with ``if``, so the point gets the bits it gets in a
+    block.  Callers hold an ``np.errstate``."""
+    if x < (_W0_SPLIT if branch is Branch.PRINCIPAL else _WM1_SPLIT):
+        w0 = _branch_start(x, branch)
+    elif branch is Branch.LOWER:
+        w0 = _lower_asymptotic(lx)
+    elif x > math.e:
+        w0 = _asymptotic(lx)
+    else:
+        w0 = np.log1p(x)
+    if _keeps_start(x, lx):
+        return w0, 0
+    return _refine(w0, lx), 2
+
+
+def _shaped(value, shape):
+    """A one-point result as an array of its input's shape."""
+    return np.array([value]).reshape(shape)
 
 
 def _evaluate(x, branch):
@@ -149,6 +192,15 @@ def _evaluate(x, branch):
         )
     if branch is Branch.LOWER and hi >= 0.0:
         raise DomainError("w_lower: x must be < 0; got %r" % hi)
+    if v.size == 1:
+        x1 = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
+        with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
+            w, iters = _solve_one(x1, np.log(abs(x1)), branch)
+            res = abs(w * np.exp(w) - x1) / max(abs(x1), 1e-300)
+        if arr.ndim == 0:
+            return WEvaluation(float(w), float(res), iters)
+        return WEvaluation(_shaped(w, arr.shape), _shaped(res, arr.shape),
+                           _shaped(iters, arr.shape))
     if lo < _BRANCH_POINT:
         v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
 
@@ -202,8 +254,12 @@ def tree_t(x):
     top = -_BRANCH_POINT  # 1/e
     if hi > top + _CLAMP_BELOW:
         raise DomainError("tree_t: x must be <= 1/e; got %r" % hi)
-    neg = -np.minimum(v, top)
     with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
+        if v.size == 1:
+            neg = np.float64(-min(lo, top))
+            out = -_solve_one(neg, np.log(abs(neg)), Branch.PRINCIPAL)[0]
+            return float(out) if arr.ndim == 0 else _shaped(out, arr.shape)
+        neg = -np.minimum(v, top)
         out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
                       Branch.PRINCIPAL)[0]
     return float(out[0]) if arr.ndim == 0 else out
@@ -224,6 +280,10 @@ def w_principal_from_log(log_x):
         raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
                           % (lo if math.isnan(lo) else hi))
     with np.errstate(all="ignore"):  # exp overflows to +inf past 709.78
+        if v.size == 1:
+            lx = np.float64(lo)
+            out = _solve_one(np.exp(lx), lx, Branch.PRINCIPAL)[0]
+            return float(out) if arr.ndim == 0 else _shaped(out, arr.shape)
         x = np.exp(v)
         out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
     return float(out[0]) if arr.ndim == 0 else out

@@ -1,4 +1,5 @@
-"""Shared grids and self-contained numeric oracles for the test suite.
+"""Shared grids, self-contained numeric oracles and the Hypothesis home
+fixture for the test suite.
 
 The oracles here deliberately share no code with the library: root
 finding is plain sign-based bisection, integration is recursive adaptive
@@ -11,9 +12,20 @@ these routines and can be re-derived by calling them again.
 import math
 
 import numpy as np
+import pytest
+from hypothesis import configuration
 
 MASK64 = (1 << 64) - 1
 GAMMA64 = 0x9E3779B97F4A7C15
+
+
+@pytest.fixture(scope="module")
+def hypothesis_home(tmp_path_factory):
+    # with database=None Hypothesis still caches the constants it reads from
+    # source files under its home directory; keep that out of the checkout
+    configuration.set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+    yield
+    configuration.set_hypothesis_home_dir(None)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,14 @@ def test_analytic_quantile_stays_inside_a_finite_support():
     assert quantile(spec, 1.0 - 1e-12).t == spec.support[1]
 
 
+def test_kies4_quantile_where_the_odds_power_overflows_is_b():
+    # m = (L/c)^(1/d) is inf for this small d, and (a + b m)/(1 + m) was inf/inf
+    b = 0.6367453990081883
+    spec = validate("kies4", a=0.0, b=b, c=0.6324709542776092, d=0.005297169226822817)
+    assert quantile(spec, 1.0 - 1e-12).t == b
+    assert numeric_quantile(spec, 1.0 - 1e-12).t == b
+
+
 def test_quantile_values_of_a_zero_dimensional_u_passes_the_gate():
     for spec in all_refspecs():
         if has_analytic_quantile(spec.family):

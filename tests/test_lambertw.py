@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import bisect
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambertq import (
     DomainError,
@@ -291,6 +293,79 @@ def test_each_array_element_equals_its_scalar_evaluation(w, x):
         assert batch.iterations[i] == one.iterations, xi
 
 
+def test_each_tree_element_equals_its_scalar_evaluation():
+    x = -PRINCIPAL_MIX  # from 1/e + 5e-16, past the clamp, down to -max double
+    batch = tree_t(x)
+    for i, xi in enumerate(x):
+        assert _bits(batch[i]) == _bits(tree_t(float(xi))), xi
+
+
+def _fields(out):
+    return (out.value, out.residual, out.iterations) if isinstance(out, WEvaluation) else (out,)
+
+
+@pytest.mark.parametrize("f, x", [(w_principal, 0.3), (w_lower, -0.1), (tree_t, 0.2),
+                                  (w_principal_from_log, 800.0)],
+                         ids=["principal", "lower", "tree", "from_log"])
+def test_one_element_arrays_keep_their_shape_and_dtype(f, x):
+    # a one-point call solves in scalars; a 0-d input gets Python scalars back
+    # and an array input arrays of its own shape
+    flat = _fields(f(x))
+    assert all(type(want) in (float, int) for want in flat)
+    for shape in ((1,), (1, 1)):
+        for got, want in zip(_fields(f(np.full(shape, x))), flat):
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert got.dtype == np.asarray(want).dtype and got.item() == want
+
+
+# x over each domain: the clamp, the branch-point window, the start splits,
+# +-0, subnormals and up to the largest double
+def _around(*splits):
+    return [v for c in splits for v in (np.nextafter(c, -1.0), c, np.nextafter(c, 9.0))]
+
+
+W0_DOMAIN = st.one_of(
+    st.floats(BRANCH_POINT - 1e-15, BRANCH_POINT + 2e-5),
+    st.floats(-0.3, 3.0),
+    st.sampled_from(_around(-0.27, E) + [-0.0, 0.0, 5e-324, -5e-324]),
+    st.floats(-0.36, 0.0),
+    st.floats(-324.0, 308.0).map(lambda e: 10.0 ** e),
+    st.floats(0.0, np.finfo(float).max),
+)
+W_LOWER_DOMAIN = st.one_of(
+    st.floats(BRANCH_POINT - 1e-15, BRANCH_POINT + 2e-5),
+    st.sampled_from(_around(-0.2) + [-5e-324]),
+    st.floats(-0.36, -5e-324),
+    st.floats(-323.0, -0.44).map(lambda e: -(10.0 ** e)),
+)
+LOG_MIX = np.array([-np.inf, -800.0, 0.0, 700.0, np.nextafter(700.0, 800.0), 3e4, 1e300, 1e305])
+LOG_DOMAIN = st.one_of(
+    st.just(-np.inf),
+    st.floats(-800.0, 800.0),
+    st.floats(-10.0, 305.0).map(lambda e: 10.0 ** e),
+    st.floats(-1e305, -800.0),
+)
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+@pytest.mark.parametrize("f, mix, domain", [
+    (w_principal, PRINCIPAL_MIX, W0_DOMAIN),
+    (w_lower, LOWER_MIX, W_LOWER_DOMAIN),
+    (tree_t, -PRINCIPAL_MIX, W0_DOMAIN.map(lambda x: -x)),
+    (w_principal_from_log, LOG_MIX, LOG_DOMAIN),
+], ids=["principal", "lower", "tree", "from_log"])
+def test_one_point_gives_the_bits_it_gets_in_a_batch(f, mix, domain):
+    # a one-point call takes the scalar solver, a batch the array solver
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(domain)
+    def check(x):
+        batch, one, scalar = (_fields(f(a)) for a in (np.append(mix, x), np.array([x]), x))
+        for b, o, s in zip(batch, one, scalar):
+            assert _bits(s) == _bits(o) == _bits(b[-1]), x
+
+    check()
+
+
 @pytest.mark.parametrize("w, x", [(w_principal, PRINCIPAL_MIX), (w_lower, LOWER_MIX)],
                          ids=["principal", "lower"])
 def test_two_dimensional_input_keeps_its_shape(w, x):
@@ -345,10 +420,9 @@ def test_from_log_is_finite_up_to_the_largest_double():
 
 
 def test_from_log_elements_equal_their_scalar_evaluation():
-    lx = np.array([-np.inf, -800.0, 0.0, 700.0, np.nextafter(700.0, 800.0), 3e4, 1e300, 1e305])
-    batch = w_principal_from_log(lx)
+    batch = w_principal_from_log(LOG_MIX)
     assert batch[0] == 0.0
-    for i, li in enumerate(lx):
+    for i, li in enumerate(LOG_MIX):
         assert _bits(batch[i]) == _bits(w_principal_from_log(float(li))), li
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertq import ParamError, family_ids, family_info, validate
@@ -31,13 +31,7 @@ DRAW = {
 ON_BOUND = {">0": 0.0, ">=0": float(np.nextafter(0.0, -np.inf)), ">1": 1.0, "!=0": 0.0}
 
 
-@pytest.fixture(autouse=True, scope="module")
-def hypothesis_home(tmp_path_factory):
-    # with database=None Hypothesis still caches the constants it reads from
-    # source files under its home directory; keep that out of the checkout
-    configuration.set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-    yield
-    configuration.set_hypothesis_home_dir(None)
+pytestmark = pytest.mark.usefixtures("hypothesis_home")
 
 
 def box(fam):

@@ -8,7 +8,11 @@ ordered tuple of ``Bound`` rules (one parameter > 0, >= 0, > 1 or != 0) and
 and raises at the first rule broken, and the property tests draw inside it.  It has one door, ``_hazard``:
 the formula inside the support [lo, hi), 0 below lo, +inf from hi on, NaN at
 a NaN t.  ``survival`` (so also ``validate``'s endpoint gate) and the numeric
-inverter read H there.  Fourteen quantiles are elementary closed forms, ten
+inverter read H there, and one form, SF = exp(-max(H, 0)), turns H into the
+survival, the CDF and both quantile routes' residuals.  A scalar t or u
+returns Python floats formed with the same ufuncs as an array (the family
+formulas themselves run on a one-point array), so a point gets the bits it
+gets inside an array.  Fourteen quantiles are elementary closed forms, ten
 involve the principal branch of the Lambert W function, and four families have
 no analytic inverse at all (callers use the numeric inverter for those).
 
@@ -22,7 +26,9 @@ measures both and reports the discrepancy.
 
 Formulas are evaluated with ``log1p``/``expm1`` throughout, and a term
 1 - u^r or 1 - e^x that is only ever logged is carried as its logarithm
-(``_log1mexp``), in the quantiles and the hazards alike.  So roundtrip
+(``_log1mexp``), in the quantiles and the hazards alike; where that logarithm
+itself underflows to -0 (``exp_kum_weibull5``'s nested powers), ln(-ln(1 - e^x))
+is carried instead.  So roundtrip
 residuals |F(Q(u)) - u| stay near machine precision across the u range,
 including the tails where F or SF would round to 0 or 1, and a Lambert W
 argument that is negative or NaN raises DomainError (the principal branch
@@ -106,6 +112,8 @@ def _L(u):
 
 
 _MINUS_LN2 = -math.log(2.0)
+_LOG_EPS = -53.0 * math.log(2.0)  # ln 2^-53: below it, 1 - e^x rounds to 1
+_LOG_TINY = -1022.0 * math.log(2.0)  # ln of the smallest normal double
 
 
 def _log1mexp(x):
@@ -565,17 +573,37 @@ _register(Family(
 ))
 
 
+def _ekw5_deep(x, log_1mz, shift):
+    """ln(1 - z^k) for z = 1 - e^x and shift = -ln k, where the chain's
+    log_1mz = ln(1 - exp(k ln z)) lost it.  It carries lam = ln(-k ln z) =
+    ln(-ln(1 - e^x)) - shift, whose first term is x to the last bit once
+    e^x < 2^-53, and ln(1 - z^k) = ln(1 - exp(-e^lam)) is lam itself once
+    e^lam < 2^-53.  The chain forms e^x and e^lam, which leave the normal range
+    below ln 2^-1022 (ln z then underflows to -0); only those points take the
+    lam form, so the others keep the chain's bits."""
+    cut = _LOG_TINY + max(shift, 0.0)  # x < cut: e^x or e^lam is subnormal
+    if not bounds(x)[0] < cut:
+        return log_1mz
+    deep = x < cut
+    x = x[deep]
+    lam = np.where(x < _LOG_EPS, x, np.log(-_log1mexp(x))) - shift
+    out = np.array(log_1mz)  # a copy, and an array where a 0-d x gave a scalar
+    out[deep] = np.where(lam < _LOG_EPS, lam, _log1mexp(-np.exp(lam)))
+    return out
+
+
 def _h_exp_kum_weibull5(t, p):
     # SF = 1 - inner^c, inner = 1 - (1-h)^b, h = g^a, g = 1 - exp(-d t^e)
-    log_g = _log1mexp(-p["d"] * t ** p["e"])
-    log_inner = _log1mexp(p["b"] * _log1mexp(p["a"] * log_g))
-    return -_log1mexp(p["c"] * log_inner)
+    x = -p["d"] * t ** p["e"]
+    log_1mh = _ekw5_deep(x, _log1mexp(p["a"] * _log1mexp(x)), -math.log(p["a"]))
+    return -_log1mexp(p["c"] * _log1mexp(p["b"] * log_1mh))
 
 
 def _ekw5_chain(log_s1, p):
     # shared tail of the inversion: s1 = 1 - (outer power of the probability)
-    log_s2 = _log1mexp(log_s1 / p["b"])           # ln(1 - s1^(1/b))
-    log_s3 = _log1mexp(log_s2 / p["a"])           # ln(1 - s2^(1/a))
+    x = log_s1 / p["b"]
+    log_s2 = _log1mexp(x)                         # ln(1 - s1^(1/b))
+    log_s3 = _ekw5_deep(x, _log1mexp(log_s2 / p["a"]), math.log(p["a"]))  # ln(1 - s2^(1/a))
     return (-log_s3 / p["d"]) ** (1.0 / p["e"])
 
 
@@ -1099,14 +1127,24 @@ def _hazard(spec, t):
     return out
 
 
+def _sf(h, scalar):
+    """SF = exp(-max(H, 0)) from an H array, the one form that ``survival``,
+    ``cdf`` and both quantile routes' residuals use.  ``scalar`` reads the one
+    point of H as a Python float and returns one; ``np.exp`` stays the NumPy
+    ufunc either way, so both give the same bits."""
+    if scalar:
+        return float(np.exp(-max(h.item(), 0.0)))
+    return np.exp(-np.maximum(h, 0.0))
+
+
 def survival(spec, t):
     """SF(t) = P(X > t) = exp(-H(t)), with H read through ``_hazard``: 1 below
-    the support, 0 from hi on, NaN at a NaN t."""
+    the support, 0 from hi on, NaN at a NaN t.  A 0-d t returns a Python float,
+    formed with the same ufuncs as an array."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     with np.errstate(all="ignore"):
-        out = np.exp(-np.maximum(_hazard(spec, arr.reshape(1) if scalar else arr), 0.0))
-    return float(out[0]) if scalar else out
+        return _sf(_hazard(spec, arr.reshape(1) if scalar else arr), scalar)
 
 
 def cdf(spec, t):
@@ -1126,42 +1164,16 @@ def _check_u_open(v, spec):
         )
 
 
-def quantile(spec, u):
-    """Analytic quantile Q(u) with provenance and roundtrip residual.
-
-    Uses the family's closed form (corrected derivation where the
-    catalogued form is wrong).  Families without an analytic inverse
-    raise NoAnalyticFormError; use numeric_quantile for those.
-    """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
-    t = quantile_values(spec, v)
-    res = np.abs(cdf(spec, t) - v)
-    path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
-            else QuantilePath.ANALYTIC_VERIFIED)
-    if scalar:
-        return QuantileResult(float(t[0]), path, float(res[0]))
-    return QuantileResult(t, path, res)
-
-
-def quantile_values(spec, u):
-    """Vectorized analytic quantile values without result metadata.
-
-    Same preconditions as ``quantile``; the sampler uses it directly.  Keeps
-    the numeric route's contract: t lies in the support [lo, hi] (a t past an
-    end by roundoff is set to that end), and a t that is not a finite double
-    raises BracketError, as ``invert_cdf`` does where no bracket exists.
-    """
+def _gated_quantile(spec, v):
+    """The gate of ``quantile_values`` and ``quantile``, on a float array v;
+    callers hold an ``np.errstate``."""
     fam = family_info(spec.family)
     if fam.quantile is None:
         raise NoAnalyticFormError(
             "%s has no analytic quantile; use numeric_quantile" % spec.family
         )
-    v = np.asarray(u, dtype=float)
     _check_u_open(v, spec)
-    with np.errstate(all="ignore"):
-        t = fam.quantile(v, spec.params)
+    t = fam.quantile(v, spec.params)
     t_min, t_max = bounds(np.asarray(t))  # a NaN anywhere makes both NaN
     if not (-_INF < t_min and t_max < _INF):
         worst = float(v[~np.isfinite(t)].max())
@@ -1172,6 +1184,44 @@ def quantile_values(spec, u):
     if t_min < lo or t_max > hi:
         t = np.clip(t, lo, hi)
     return t
+
+
+def _residual(spec, t, v, scalar):
+    """|F(t) - u| = |(1 - SF(t)) - u| from one H read; callers hold an ``np.errstate``."""
+    sf = _sf(_hazard(spec, t), scalar)
+    return abs((1.0 - sf) - v.item()) if scalar else np.abs((1.0 - sf) - v)
+
+
+def quantile(spec, u):
+    """Analytic quantile Q(u) with provenance and roundtrip residual.
+
+    Uses the family's closed form (corrected derivation where the
+    catalogued form is wrong).  Families without an analytic inverse
+    raise NoAnalyticFormError; use numeric_quantile for those.  A 0-d u
+    returns Python floats, formed with the same ufuncs as an array (the
+    formula itself runs on a one-point array), under one ``np.errstate``.
+    """
+    arr = np.asarray(u, dtype=float)
+    scalar = arr.ndim == 0
+    v = np.atleast_1d(arr)
+    with np.errstate(all="ignore"):
+        t = _gated_quantile(spec, v)
+        res = _residual(spec, t, v, scalar)
+    path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
+            else QuantilePath.ANALYTIC_VERIFIED)
+    return QuantileResult(t.item() if scalar else t, path, res)
+
+
+def quantile_values(spec, u):
+    """Vectorized analytic quantile values without result metadata.
+
+    Same preconditions as ``quantile``; the sampler uses it directly.  Keeps
+    the numeric route's contract: t lies in the support [lo, hi] (a t past an
+    end by roundoff is set to that end), and a t that is not a finite double
+    raises BracketError, as ``invert_cdf`` does where no bracket exists.
+    """
+    with np.errstate(all="ignore"):
+        return _gated_quantile(spec, np.asarray(u, dtype=float))
 
 
 def wl_hazard(a, b, c, t):

@@ -33,7 +33,7 @@ import numpy as np
 from ._arrays import bounds
 from .errors import BracketError, DomainError, LambertQError
 from .families import (DistributionSpec, QuantilePath, QuantileResult, cdf, _check_u_open,
-                       _hazard)
+                       _hazard, _residual)
 
 __all__ = ["numeric_quantile", "invert_cdf"]
 
@@ -236,7 +236,9 @@ def numeric_quantile(spec, u, tol=1e-12):
     so a u gets the same t either way.  Returns a QuantileResult on the
     Numeric path whose roundtrip residual is certified <= tol, or raises
     LambertQError.  tol must be at least 1e-14 (below that the CDF's own
-    rounding noise dominates).
+    rounding noise dominates).  The reported residual comes from the SF form
+    that ``quantile`` and ``cdf`` use, on one more H read after the
+    certificate's; a 0-d u returns Python floats, as ``quantile`` does.
     """
     if not tol >= 1e-14:
         raise ValueError("numeric_quantile: tol must be >= 1e-14; got %r" % tol)
@@ -245,7 +247,6 @@ def numeric_quantile(spec, u, tol=1e-12):
     v = np.atleast_1d(arr)
     _check_u_open(v, spec)
     t = invert_cdf(spec, v, tol=tol)
-    res = np.abs(cdf(spec, t) - v)
-    if scalar:
-        return QuantileResult(float(t[0]), QuantilePath.NUMERIC, float(res[0]))
-    return QuantileResult(t, QuantilePath.NUMERIC, res)
+    with np.errstate(all="ignore"):
+        res = _residual(spec, t, v, scalar)
+    return QuantileResult(t.item() if scalar else t, QuantilePath.NUMERIC, res)

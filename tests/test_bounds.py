@@ -14,6 +14,7 @@ import pytest
 from lambertq import (
     LambertQError,
     all_reference_specs,
+    cdf,
     family_info,
     numeric_quantile,
     quantile,
@@ -141,10 +142,13 @@ def test_one_point_gives_the_bits_of_the_same_point_in_a_vector(spec):
         one = call(spec, np.array([u]))
         assert same(res.t, one.t) and same(res.roundtrip_residual, one.roundtrip_residual), u
         assert same(survival(spec, res.t), survival(spec, one.t)), u
+        # the reported residual is the public cdf's, to the bit
+        assert same(res.roundtrip_residual, abs(cdf(spec, res.t) - u)), u
         kept.append(u)
         scalar.append(res)
     assert len(kept) >= len(PROBS) - 6, kept
     vec = call(spec, np.array(kept))
+    assert same(vec.roundtrip_residual, np.abs(cdf(spec, vec.t) - np.array(kept)))
     sf = survival(spec, vec.t)
     for i, res in enumerate(scalar):
         assert same(res.t, vec.t[i]), (kept[i], res.t, vec.t[i])

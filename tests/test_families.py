@@ -430,6 +430,13 @@ def test_empty_and_zero_dimensional_inputs():
         assert isinstance(out, np.ndarray) and out.shape == (0,)
         assert type(fn(spec, np.array(0.5))) is float
         assert type(fn(spec, 0.5)) is float
+    for fn in (quantile, numeric_quantile):
+        for u in (0.5, np.array(0.5)):
+            res = fn(spec, u)
+            assert type(res.t) is float and type(res.roundtrip_residual) is float
+        res = fn(spec, np.array([0.5]))
+        for out in (res.t, res.roundtrip_residual):
+            assert isinstance(out, np.ndarray) and out.shape == (1,)
 
 
 def test_mod_lognormal_nan_gives_nan_without_raising():
@@ -592,6 +599,64 @@ def test_odd_weibull_upper_tail_where_the_odds_power_overflows():
     assert abs(q.t - ref) <= 1e-14 * ref, (q.t, ref)
     assert q.roundtrip_residual <= 1e-15
     assert numeric_quantile(spec, 1.0 - 1e-12).t == pytest.approx(q.t, rel=1e-12)
+
+
+EKW5_DEEP = {"a": 3.0101515575115516, "b": 0.026803093938522052, "c": 0.7784499234858963,
+             "d": 6.940436791772006, "e": 2.178872485281333}
+EKW5_WIDE_A = {"a": 1e300, "b": 0.5, "c": 1.0, "d": 1.0, "e": 1.0}
+EKW5_TINY_A = {"a": 1e-300, "b": 0.5, "c": 1.0, "d": 1.0, "e": 1.0}
+
+
+def _ekw5_mp(params):
+    """50-digit quantile and survival of exp_kum_weibull5, each power taken in logs."""
+    mpmath.mp.dps = 50
+    a, b, c, d, e = (mpmath.mpf(params[k]) for k in "abcde")
+
+    def q(u):
+        log_s1 = mpmath.log(-mpmath.expm1(mpmath.log(mpmath.mpf(u)) / c))
+        log_s3 = mpmath.log(-mpmath.expm1(mpmath.log1p(-mpmath.exp(log_s1 / b)) / a))
+        return (-log_s3 / d) ** (1 / e)
+
+    def sf(t):
+        log_1mh = mpmath.log(-mpmath.expm1(a * mpmath.log1p(-mpmath.exp(-d * mpmath.mpf(t) ** e))))
+        return -mpmath.expm1(c * mpmath.log1p(-mpmath.exp(b * log_1mh)))
+
+    return q, sf
+
+
+@pytest.mark.parametrize("params,u", [
+    (EKW5_DEEP, 1.0 - 1e-12),  # 9.889305377618204
+    (EKW5_DEEP, 1.0 - 2.0 ** -53),
+    (EKW5_WIDE_A, 1.0 - 1e-6),
+    (EKW5_WIDE_A, 1.0 - 1e-12),
+])
+def test_exp_kum_weibull5_quantile_where_the_inner_power_underflows(params, u):
+    # s1^(1/b) (or s1^(1/b)/a) leaves the normal range here, so ln(1 - s1^(1/b))
+    # read -0 and t was inf; the chain now carries ln(-ln(1 - s1^(1/b)))
+    ref = _ekw5_mp(params)[0](u)
+    spec = validate("exp_kum_weibull5", **params)
+    q = quantile(spec, u)
+    assert abs(q.t - ref) <= 2e-16 * ref, (q.t, ref)
+    assert q.roundtrip_residual <= 1e-15
+    assert quantile_values(spec, np.array(u)) == q.t  # a 0-d u takes the same mask
+    assert numeric_quantile(spec, u).t == pytest.approx(float(ref), rel=1e-15)
+
+
+@pytest.mark.parametrize("params,t", [
+    (EKW5_DEEP, 9.0),
+    (EKW5_DEEP, 9.889305377618204),
+    (EKW5_DEEP, 30.0),
+    (EKW5_WIDE_A, 720.0),   # e^(-d t^e) subnormal, ln(1 - h) near -29
+    (EKW5_WIDE_A, 800.0),
+    (EKW5_TINY_A, 20.0),    # e^(-d t^e) = 2e-9 and a e^(-d t^e) subnormal
+    (EKW5_TINY_A, 720.0),
+])
+def test_exp_kum_weibull5_survival_where_1_minus_exp_rounds_to_1(params, t):
+    # 1 - e^(-d t^e) rounds to 1 (or a times its log underflows), so H read inf
+    # and survival 0 where the true survival is far above the smallest double
+    ref = _ekw5_mp(params)[1](t)
+    got = survival(validate("exp_kum_weibull5", **params), t)
+    assert abs(got - ref) <= 1e-13 * ref, (got, ref)
 
 
 def test_analytic_quantile_stays_inside_a_finite_support():

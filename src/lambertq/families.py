@@ -9,12 +9,11 @@ and raises at the first rule broken, and the property tests draw inside it.  It 
 the formula inside the support [lo, hi), 0 below lo, +inf from hi on, NaN at
 a NaN t.  ``survival`` (so also ``validate``'s endpoint gate) and the numeric
 inverter read H there, and one form, SF = exp(-max(H, 0)), turns H into the
-survival, the CDF and both quantile routes' residuals.  A scalar t or u
-returns Python floats formed with the same ufuncs as an array (the family
-formulas themselves run on a one-point array), so a point gets the bits it
-gets inside an array.  Fourteen quantiles are elementary closed forms, ten
-involve the principal branch of the Lambert W function, and four families have
-no analytic inverse at all (callers use the numeric inverter for those).
+survival, the CDF and both quantile routes' residuals.  Shapes in and out
+follow the contract in ``_arrays``.  Fourteen quantiles are elementary closed
+forms, ten involve the principal branch of the Lambert W function, and four
+families have no analytic inverse at all (callers use the numeric inverter
+for those).
 
 Six catalogued closed forms do not actually invert their own CDF (wrong
 prefactor, swapped symbols, survival function inverted instead of the
@@ -42,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._arrays import bounds
+from ._arrays import bounds, points, shaped
 from .errors import BracketError, DomainError, NoAnalyticFormError, ParamError
 from .lambertw import w_principal, w_principal_from_log
 from .normal import std_normal_cdf, std_normal_quantile
@@ -407,13 +406,13 @@ def _q_gen_weibull(u, p):
     # is carried in logs, so that t keeps its distance from hi (there
     # log_s = ln (1-u)^c < -ln 2, and ln(1 - e^log_s) is log1p(-e^log_s))
     b, c = p["b"], p["c"]
-    log_s = np.asarray(c * np.log1p(-u))
+    log_s = c * np.log1p(-u)
     num = -np.expm1(log_s)
-    t = np.asarray((num / (p["a"] * c)) ** (1.0 / b))
+    t = (num / (p["a"] * c)) ** (1.0 / b)
     near = num > 0.5
     if near.any():
         t[near] = _gen_weibull_hi(p) * np.exp(np.log1p(-np.exp(log_s[near])) / b)
-    return t[()]
+    return t
 
 
 def _gen_weibull_hi(p):
@@ -511,23 +510,22 @@ _register(Family(
 def _h_odd_weibull(t, p):
     # SF = 1 / (1 + (exp(x) - 1)^c), x = a t^b.  Where (e^x - 1)^c overflows,
     # H = c ln(e^x - 1) = c (x + ln(1 - e^-x)) to double precision
-    x = np.asarray(p["a"] * t ** p["b"])
-    h = np.asarray(np.log1p(np.expm1(x) ** p["c"]))
+    x = p["a"] * t ** p["b"]
+    h = np.log1p(np.expm1(x) ** p["c"])
     over = h == _INF
     if over.any():
         h[over] = p["c"] * (x[over] + np.log1p(-np.exp(-x[over])))
-    return h[()]
+    return h
 
 
 def _q_odd_weibull(u, p):
     # ln(1 + r^(1/c)), r = u/(1-u).  Where r^(1/c) overflows, the 1 lies below
     # its last bit, and the log is taken in logs: (ln u - ln(1-u))/c
     c = p["c"]
-    inner = np.asarray(np.log1p((u / (1.0 - u)) ** (1.0 / c)))
+    inner = np.log1p((u / (1.0 - u)) ** (1.0 / c))
     over = inner == _INF
     if over.any():
-        u_over = np.asarray(u)[over]
-        inner[over] = (np.log(u_over) - np.log1p(-u_over)) / c
+        inner[over] = (np.log(u[over]) - np.log1p(-u[over])) / c
     return (inner / p["a"]) ** (1.0 / p["b"])
 
 
@@ -580,16 +578,16 @@ def _ekw5_deep(x, log_1mz, shift):
     e^x < 2^-53, and ln(1 - z^k) = ln(1 - exp(-e^lam)) is lam itself once
     e^lam < 2^-53.  The chain forms e^x and e^lam, which leave the normal range
     below ln 2^-1022 (ln z then underflows to -0); only those points take the
-    lam form, so the others keep the chain's bits."""
+    lam form, written into the caller's temporary log_1mz, so the others keep
+    the chain's bits."""
     cut = _LOG_TINY + max(shift, 0.0)  # x < cut: e^x or e^lam is subnormal
     if not bounds(x)[0] < cut:
         return log_1mz
     deep = x < cut
     x = x[deep]
     lam = np.where(x < _LOG_EPS, x, np.log(-_log1mexp(x))) - shift
-    out = np.array(log_1mz)  # a copy, and an array where a 0-d x gave a scalar
-    out[deep] = np.where(lam < _LOG_EPS, lam, _log1mexp(-np.exp(lam)))
-    return out
+    log_1mz[deep] = np.where(lam < _LOG_EPS, lam, _log1mexp(-np.exp(lam)))
+    return log_1mz
 
 
 def _h_exp_kum_weibull5(t, p):
@@ -886,11 +884,11 @@ def _q_gompertz_makeham(u, p):
     # bit of L(u), and t is the a -> 0 limit ln(1 + c L(u)/b)/c, taken in logs
     # because c L(u)/b may overflow too
     a, b, c = p["a"], p["b"], p["c"]
-    l_u = np.asarray(_L(u))
+    l_u = _L(u)
     log_arg = _gm_log_arg(l_u, p)
     over = ~np.isfinite(log_arg)
-    w = np.asarray(w_principal_from_log(np.where(over, 0.0, log_arg)))
-    t = np.asarray(np.log((a / b) * w) / c)
+    w = w_principal_from_log(np.where(over, 0.0, log_arg))
+    t = np.log((a / b) * w) / c
     big = t == _INF
     if big.any():
         t[big] = (np.log(w[big]) + math.log(a / b)) / c
@@ -901,7 +899,7 @@ def _q_gompertz_makeham(u, p):
         l_s = l_u[small]
         t0 = l_s / (a + b)
         t[small] = t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_s) / (a + b * np.exp(c * t0))
-    return t[()]
+    return t
 
 
 def gm_subtractive_quantile(spec, u):
@@ -913,14 +911,12 @@ def gm_subtractive_quantile(spec, u):
     """
     if spec.family != "gompertz_makeham":
         raise ParamError("gm_subtractive_quantile: spec must be gompertz_makeham")
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
+    v, shape = points(u)
     _check_u_open(v, spec)
     p = spec.params
     a, c = p["a"], p["c"]
     t = (p["b"] + c * _L(v)) / (a * c) - w_principal_from_log(_gm_log_arg(_L(v), p)) / c
-    return float(t[0]) if scalar else t
+    return shaped(t, shape)
 
 
 _register(Family(
@@ -1045,10 +1041,6 @@ def family_info(name):
     return _FAMILIES[name]
 
 
-def has_analytic_quantile(name):
-    return family_info(name).quantile is not None
-
-
 def validate(family, **params):
     """Check parameters against the family's parameter box and build a spec.
 
@@ -1127,24 +1119,22 @@ def _hazard(spec, t):
     return out
 
 
-def _sf(h, scalar):
+def _sf(h):
     """SF = exp(-max(H, 0)) from an H array, the one form that ``survival``,
-    ``cdf`` and both quantile routes' residuals use.  ``scalar`` reads the one
-    point of H as a Python float and returns one; ``np.exp`` stays the NumPy
-    ufunc either way, so both give the same bits."""
-    if scalar:
+    ``cdf`` and both quantile routes' residuals use.  One point of H is read
+    as a Python float and returns one; ``np.exp`` stays the NumPy ufunc
+    either way, so both give the same bits."""
+    if h.size == 1:
         return float(np.exp(-max(h.item(), 0.0)))
     return np.exp(-np.maximum(h, 0.0))
 
 
 def survival(spec, t):
     """SF(t) = P(X > t) = exp(-H(t)), with H read through ``_hazard``: 1 below
-    the support, 0 from hi on, NaN at a NaN t.  A 0-d t returns a Python float,
-    formed with the same ufuncs as an array."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
+    the support, 0 from hi on, NaN at a NaN t."""
+    v, shape = points(t)
     with np.errstate(all="ignore"):
-        return _sf(_hazard(spec, arr.reshape(1) if scalar else arr), scalar)
+        return shaped(_sf(_hazard(spec, v)), shape)
 
 
 def cdf(spec, t):
@@ -1174,7 +1164,7 @@ def _gated_quantile(spec, v):
         )
     _check_u_open(v, spec)
     t = fam.quantile(v, spec.params)
-    t_min, t_max = bounds(np.asarray(t))  # a NaN anywhere makes both NaN
+    t_min, t_max = bounds(t)  # a NaN anywhere makes both NaN
     if not (-_INF < t_min and t_max < _INF):
         worst = float(v[~np.isfinite(t)].max())
         raise BracketError(
@@ -1186,10 +1176,11 @@ def _gated_quantile(spec, v):
     return t
 
 
-def _residual(spec, t, v, scalar):
-    """|F(t) - u| = |(1 - SF(t)) - u| from one H read; callers hold an ``np.errstate``."""
-    sf = _sf(_hazard(spec, t), scalar)
-    return abs((1.0 - sf) - v.item()) if scalar else np.abs((1.0 - sf) - v)
+def _residual(spec, t, v):
+    """|F(t) - u| = |(1 - SF(t)) - u| from one H read, a Python float for one
+    point; callers hold an ``np.errstate``."""
+    sf = _sf(_hazard(spec, t))
+    return abs((1.0 - sf) - v.item()) if v.size == 1 else np.abs((1.0 - sf) - v)
 
 
 def quantile(spec, u):
@@ -1197,19 +1188,16 @@ def quantile(spec, u):
 
     Uses the family's closed form (corrected derivation where the
     catalogued form is wrong).  Families without an analytic inverse
-    raise NoAnalyticFormError; use numeric_quantile for those.  A 0-d u
-    returns Python floats, formed with the same ufuncs as an array (the
-    formula itself runs on a one-point array), under one ``np.errstate``.
+    raise NoAnalyticFormError; use numeric_quantile for those.  The formula
+    and the residual run under one ``np.errstate``.
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
+    v, shape = points(u)
     with np.errstate(all="ignore"):
         t = _gated_quantile(spec, v)
-        res = _residual(spec, t, v, scalar)
+        res = _residual(spec, t, v)
     path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
             else QuantilePath.ANALYTIC_VERIFIED)
-    return QuantileResult(t.item() if scalar else t, path, res)
+    return QuantileResult(shaped(t, shape), path, shaped(res, shape))
 
 
 def quantile_values(spec, u):
@@ -1220,8 +1208,9 @@ def quantile_values(spec, u):
     end by roundoff is set to that end), and a t that is not a finite double
     raises BracketError, as ``invert_cdf`` does where no bracket exists.
     """
+    v, shape = points(u)
     with np.errstate(all="ignore"):
-        return _gated_quantile(spec, np.asarray(u, dtype=float))
+        return shaped(_gated_quantile(spec, v), shape)
 
 
 def wl_hazard(a, b, c, t):

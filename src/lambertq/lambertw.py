@@ -23,10 +23,10 @@ one min and one max on more (a NaN makes both NaN).  The bulk start (log1p(x)
 for W0, the logarithmic form for W-1) and the two steps cover the whole array;
 the other starts, and the points that keep their start, are masked in only
 where the range says the array has such points.  No point depends on the others.
-One point (a scalar or a one-element array) is held in float64 scalars by
-``_solve_one``, which picks its start and keep test with ``if`` and calls the
-same start and step formulas, so it gets the bits it gets in an array without
-paying NumPy's per-call cost on one-element arrays.
+One point is held in float64 scalars by ``_solve_one``, which picks its start
+and keep test with ``if`` and calls the same start and step formulas, so it
+gets the bits it gets in an array without paying NumPy's per-call cost on
+one-element arrays.  Shapes in and out follow the contract in ``_arrays``.
 
 The principal branch W0 covers x >= -1/e with W0 >= -1; the lower branch
 W-1 covers -1/e <= x < 0 with W-1 <= -1.  Inputs up to 1e-15 below the
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arrays import bounds
+from ._arrays import bounds, points, shaped
 from .errors import DomainError
 
 __all__ = ["Branch", "WEvaluation", "w_principal", "w_lower", "w_series", "tree_t"]
@@ -175,14 +175,8 @@ def _solve_one(x, lx, branch):
     return _refine(w0, lx), 2
 
 
-def _shaped(value, shape):
-    """A one-point result as an array of its input's shape."""
-    return np.array([value]).reshape(shape)
-
-
 def _evaluate(x, branch):
-    arr = np.asarray(x, dtype=float)
-    v = np.atleast_1d(arr)
+    v, shape = points(x)
     lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
     if not (-math.inf < lo and hi < math.inf):  # finite, or no point at all
         raise DomainError("lambert w: input must be finite")
@@ -192,31 +186,24 @@ def _evaluate(x, branch):
         )
     if branch is Branch.LOWER and hi >= 0.0:
         raise DomainError("w_lower: x must be < 0; got %r" % hi)
-    if v.size == 1:
-        x1 = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
-        with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
+    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
+        if v.size == 1:
+            x1 = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
             w, iters = _solve_one(x1, np.log(abs(x1)), branch)
             res = abs(w * np.exp(w) - x1) / max(abs(x1), 1e-300)
-        if arr.ndim == 0:
-            return WEvaluation(float(w), float(res), iters)
-        return WEvaluation(_shaped(w, arr.shape), _shaped(res, arr.shape),
-                           _shaped(iters, arr.shape))
-    if lo < _BRANCH_POINT:
-        v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
-
-    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
-        w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
-        res = np.abs(w * np.exp(w) - v) / np.maximum(np.abs(v), 1e-300)
-    if arr.ndim == 0:
-        return WEvaluation(float(w[0]), float(res[0]), int(iters[0]))
-    return WEvaluation(w, res, iters)
+        else:
+            if lo < _BRANCH_POINT:
+                v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
+            w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
+            res = np.abs(w * np.exp(w) - v) / np.maximum(np.abs(v), 1e-300)
+    return WEvaluation(shaped(w, shape), shaped(res, shape), shaped(iters, shape))
 
 
 def w_principal(x):
     """Principal branch W0: the w >= -1 solving w*exp(w) = x, for x >= -1/e.
 
-    Accepts a scalar or array; returns a WEvaluation whose fields mirror
-    the input shape.  w_principal(0) is exactly 0.
+    Returns a WEvaluation of the value, its identity residual and its
+    iteration count.  w_principal(0) is exactly 0.
     """
     return _evaluate(x, Branch.PRINCIPAL)
 
@@ -235,19 +222,15 @@ def w_series(x, n_terms):
     n = int(n_terms)
     if n < 1 or n > 30:
         raise ValueError("w_series: n_terms must be between 1 and 30; got %r" % n_terms)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
+    v, shape = points(x)
     if np.any(~np.isfinite(v)) or np.any(np.abs(v) >= -_BRANCH_POINT):
         raise DomainError("w_series: |x| must be < 1/e (series radius)")
-    s = _series_sum(v, n)
-    return float(s[0]) if scalar else s
+    return shaped(_series_sum(v, n), shape)
 
 
 def tree_t(x):
     """Tree function T(x) = -W0(-x), defined for x <= 1/e."""
-    arr = np.asarray(x, dtype=float)
-    v = np.atleast_1d(arr)
+    v, shape = points(x)
     lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
     if not (-math.inf < lo and hi < math.inf):
         raise DomainError("tree_t: input must be finite")
@@ -258,11 +241,11 @@ def tree_t(x):
         if v.size == 1:
             neg = np.float64(-min(lo, top))
             out = -_solve_one(neg, np.log(abs(neg)), Branch.PRINCIPAL)[0]
-            return float(out) if arr.ndim == 0 else _shaped(out, arr.shape)
-        neg = -np.minimum(v, top)
-        out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
-                      Branch.PRINCIPAL)[0]
-    return float(out[0]) if arr.ndim == 0 else out
+        else:
+            neg = -np.minimum(v, top)
+            out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
+                          Branch.PRINCIPAL)[0]
+    return shaped(out, shape)
 
 
 def w_principal_from_log(log_x):
@@ -273,8 +256,7 @@ def w_principal_from_log(log_x):
     DomainError.  Returns the value only (no residual metadata) -- this is
     plumbing for quantile formulas whose W argument overflows double precision.
     """
-    arr = np.asarray(log_x, dtype=float)
-    v = np.atleast_1d(arr)
+    v, shape = points(log_x)
     lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
     if math.isnan(lo) or hi == math.inf:
         raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
@@ -283,7 +265,7 @@ def w_principal_from_log(log_x):
         if v.size == 1:
             lx = np.float64(lo)
             out = _solve_one(np.exp(lx), lx, Branch.PRINCIPAL)[0]
-            return float(out) if arr.ndim == 0 else _shaped(out, arr.shape)
-        x = np.exp(v)
-        out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
-    return float(out[0]) if arr.ndim == 0 else out
+        else:
+            x = np.exp(v)
+            out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
+    return shaped(out, shape)

@@ -210,7 +210,7 @@ def ks_statistic(batch, spec=None):
     n = x.size
     if n < 1:
         raise ValueError("ks_statistic: batch must hold at least one value")
-    f = np.atleast_1d(cdf(spec, x))
+    f = cdf(spec, x)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))

@@ -332,6 +332,16 @@ def test_two_calls_on_one_set_evaluate_the_ladder_once(monkeypatch, ladder):
     assert first.roundtrip_residual <= 1e-12 and second.roundtrip_residual <= 1e-12
 
 
+def test_cache_keeps_every_reference_set_for_a_second_pass(ladder):
+    specs = all_reference_specs()
+    for spec in specs:
+        numeric_quantile(spec, 0.5)
+    misses = ladder.cache_info().misses
+    for spec in specs:
+        numeric_quantile(spec, 0.5)
+    assert ladder.cache_info().misses == misses, ladder.cache_info()
+
+
 def test_cached_ladder_is_read_only(ladder):
     spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
     numeric_quantile(spec, 0.3)

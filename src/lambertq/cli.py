@@ -69,7 +69,8 @@ def _build_parser():
     add_family_args(p)
     p.add_argument("--u", type=float, required=True, help="probability in (0, 1)")
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="residual tolerance for the numeric path (default 1e-12)")
+                   help="residual tolerance for the numeric path, at least 1e-14 (default "
+                        "1e-12); families with a closed-form quantile ignore it")
 
     p = sub.add_parser("cdf", help="evaluate F(t)")
     add_family_args(p)

@@ -671,6 +671,16 @@ def test_exp_kum_weibull5_survival_where_1_minus_exp_rounds_to_1(params, t):
     assert abs(got - ref) <= 1e-13 * ref, (got, ref)
 
 
+def test_exp_kum_weibull5_root_below_the_smallest_positive_double_is_zero():
+    # self-consistency: H jumps from 0 at t = 0 to about 1.41 at 5e-324, across
+    # L(0.3) = 0.357, so the root lies below the smallest positive double and
+    # t = 0.0, with residual 0.3, meets the certificate's bracket form
+    spec = validate("exp_kum_weibull5", a=0.014561792584894623, b=2.2032645646899445,
+                    c=0.19916277153687015, d=4.761442744068339, e=0.19851593374611587)
+    assert quantile(spec, 0.3).t == 0.0
+    assert cdf(spec, 0.0) <= 0.3 <= cdf(spec, 5e-324)
+
+
 def test_analytic_quantile_stays_inside_a_finite_support():
     # kies4's closed form lands one ulp above hi = b at u = 1 - 1e-12
     spec = validate("kies4", a=0.4035754668344999, b=2.987187959885532,

@@ -112,7 +112,7 @@ def test_parallel_equals_serial_numeric_path():
     # every numeric-only reference set, at odd n that three workers split
     # unevenly: below one block, and across three blocks; at n = 3 each worker
     # inverts one point, in scalars, where serial sampling inverts all three
-    # in one state array
+    # in arrays
     for family in ("xie_lai3", "additive_weibull", "nadarajah_kotz", "phani5"):
         for params in reference_params(family):
             spec = validate(family, **params)

@@ -13,8 +13,9 @@ two Fritsch-Shafer-Crowley steps (Fritsch, Shafer & Crowley, CACM 16(2),
 The start alone is kept within 1e-5 of the branch point, at x = 0 and where
 ln x > 1e300 (there the asymptotic form is exact); those points report 0
 iterations, every other point 2.  ``w_principal`` and ``w_lower`` pass
-np.log(|x|) and report the identity residual |w*exp(w) - x| / max(|x|, 1e-300)
-and the iteration count alongside the value.  ``tree_t`` solves at -x.
+np.log(|x|) and return the value with its iteration count and its identity
+residual |w*exp(w) - x| / max(|x|, 1e-300), which ``WEvaluation`` forms from
+the value and the clamped x only when it is first read.  ``tree_t`` solves at -x.
 ``w_principal_from_log`` passes log_x itself with x = exp(log_x), +inf past
 709.78, where the start and the steps read only ln x.
 
@@ -69,11 +70,36 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class WEvaluation:
-    """A Lambert W value with its identity residual and iteration count."""
+    """A Lambert W value with its identity residual and iteration count.
+
+    An evaluation from ``w_principal`` or ``w_lower`` holds the solved points
+    and the clamped argument x_c in place of the residual, and forms
+    |w*exp(w) - x_c| / max(|x_c|, 1e-300) the first time ``residual`` is read
+    (then keeps it), so a caller that keeps only ``value`` never pays for it.
+    """
 
     value: float
     residual: float
     iterations: int
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: ``residual`` before
+        # its first read; the pending entry is dropped once the residual is kept
+        pending = self.__dict__.get("_pending") if name == "residual" else None
+        if pending is None:
+            raise AttributeError(name)
+        res = _identity_residual(*pending)
+        object.__setattr__(self, "residual", res)
+        self.__dict__.pop("_pending", None)
+        return res
+
+
+def _identity_residual(w, x, shape):
+    """|w*exp(w) - x| / max(|x|, 1e-300) in ``shape``, from the solver's w and
+    the clamped x (arrays, or float64 scalars for one point)."""
+    with np.errstate(all="ignore"):
+        res = np.abs(w * np.exp(w) - x) / np.maximum(np.abs(x), 1e-300)
+    return shaped(res, shape)
 
 
 def _series_sum(x, n_terms):
@@ -121,12 +147,32 @@ def _refine(w, log_x):
     steps agree with SciPy's lambertw to 1.2e-13 relative, and to 1e-14
     farther than 1e-3 from the branch point.  Working on ln|x| keeps the
     step free of overflow and underflow for any representable x.
+
+    The step runs in place on its own temporaries and carries z, r and q with
+    their signs flipped: z' = ln|w| - ln|x| + w, r' = z'/(1 + w),
+    q' = 2(2z'/3 - (1 + w)), then r'(q' - r') over 2r' - q' (r' + r' is 2r'
+    exactly).  IEEE negation is exact and rounding is symmetric in sign, so
+    z', r', q' and q' - r' are exactly -z, -r, -q and -(q - r), and
+    r'(q' - r') and 2r' - q' are r(q - r) and q - 2r to the bit, as is the
+    step.  Where z is exactly 0 both orders give +0 for it; the quotient is
+    then a zero of either sign, and 1 plus it is 1 either way.
     """
     for _ in range(2):
-        z = log_x - np.log(np.abs(w)) - w
-        r = z / (1.0 + w)
-        q = 2.0 * (1.0 + w + (2.0 / 3.0) * z)
-        w = w * (1.0 + r * (q - r) / (q - 2.0 * r))
+        z = np.log(np.abs(w))
+        z -= log_x
+        z += w
+        opw = w + 1.0
+        r = z / opw
+        q = z * (2.0 / 3.0)
+        q -= opw
+        q *= 2.0
+        num = q - r
+        num *= r
+        r += r
+        r -= q
+        num /= r
+        num += 1.0
+        w = w * num
     return w
 
 
@@ -188,15 +234,17 @@ def _evaluate(x, branch):
         raise DomainError("w_lower: x must be < 0; got %r" % hi)
     with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
         if v.size == 1:
-            x1 = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
-            w, iters = _solve_one(x1, np.log(abs(x1)), branch)
-            res = abs(w * np.exp(w) - x1) / max(abs(x1), 1e-300)
+            v = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
+            w, iters = _solve_one(v, np.log(abs(v)), branch)
         else:
-            if lo < _BRANCH_POINT:
-                v = np.maximum(v, _BRANCH_POINT)  # absorb sub-branch-point roundoff
+            # absorb sub-branch-point roundoff, or copy: the residual reads x
+            # later, and the caller's array may change by then
+            v = np.maximum(v, _BRANCH_POINT) if lo < _BRANCH_POINT else v.copy()
             w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
-            res = np.abs(w * np.exp(w) - v) / np.maximum(np.abs(v), 1e-300)
-    return WEvaluation(shaped(w, shape), shaped(res, shape), shaped(iters, shape))
+    out = object.__new__(WEvaluation)  # with the residual pending, formed on first read
+    out.__dict__.update(value=shaped(w, shape), iterations=shaped(iters, shape),
+                        _pending=(w, v, shape))
+    return out
 
 
 def w_principal(x):

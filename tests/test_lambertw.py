@@ -15,9 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertq import (
+    Branch,
     DomainError,
     WEvaluation,
+    lambertw,
+    sample,
+    sampling,
     tree_t,
+    validate,
     w_lower,
     w_principal,
     w_principal_from_log,
@@ -431,3 +436,142 @@ def test_from_log_elements_equal_their_scalar_evaluation():
 def test_from_log_rejects_nan_and_plus_inf(bad):
     with pytest.raises(DomainError):
         w_principal_from_log(bad)
+
+
+# ---------------------------------------------------------------------------
+# the refinement step and the residual on first read
+
+def _textbook_refine(w, log_x):
+    # the step in its textbook operator order, the reference the in-place
+    # signs-flipped step in lambertw._refine must match bit for bit
+    for _ in range(2):
+        z = log_x - np.log(np.abs(w)) - w
+        r = z / (1.0 + w)
+        q = 2.0 * (1.0 + w + (2.0 / 3.0) * z)
+        w = w * (1.0 + r * (q - r) / (q - 2.0 * r))
+    return w
+
+
+def _starts(x, lx):
+    # every start formula at every x, inside its regime and out of it
+    return [np.log1p(x), lambertw._asymptotic(lx), lambertw._lower_asymptotic(lx),
+            lambertw._branch_start(x, Branch.PRINCIPAL), lambertw._branch_start(x, Branch.LOWER)]
+
+
+def _zero_z_points():
+    # (w, ln|x|) where ln|x| - ln|w| - w is exactly 0 in floating point
+    w = np.concatenate([[1.0, -1.0, -2.0, 0.5, 3.0], np.linspace(-30.0, 30.0, 601)])
+    w = w[w != 0.0]
+    lx = np.log(np.abs(w)) + w
+    exact = lx - np.log(np.abs(w)) - w == 0.0
+    return w[exact], lx[exact]
+
+
+def _refine_cases():
+    ws, lxs = [], []
+    for mix in (PRINCIPAL_MIX, LOWER_MIX):
+        lx = np.log(np.abs(mix))
+        for start in _starts(mix, lx):
+            ws.append(start)
+            lxs.append(lx)
+    lx = LOG_MIX
+    for start in _starts(np.exp(lx), lx):
+        ws.append(start)
+        lxs.append(lx)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan,
+                        -np.nan, -1.0, 1.0])
+    for lx in (0.0, -0.0, 1.0, -700.0, 1e300, np.inf, -np.inf, np.nan):
+        ws.append(special)
+        lxs.append(np.full(special.shape, lx))
+    ws.append(np.full(LOG_MIX.shape, np.nan))
+    lxs.append(LOG_MIX)
+    w, lx = _zero_z_points()
+    assert w.size > 100
+    ws.append(w)
+    lxs.append(lx)
+    return np.concatenate(ws), np.concatenate(lxs)
+
+
+def _bits_but_nan(a):
+    # IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    # NumPy's scalar and array loops pass on different operands' NaNs (the
+    # textbook step itself gives -NaN on an array and +NaN on a scalar at
+    # w = ln|x| = 0), so every NaN counts as one pattern
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _assert_refine_matches_textbook(w, lx):
+    with np.errstate(all="ignore"):
+        got, want = lambertw._refine(w, lx), _textbook_refine(w, lx)
+        assert _bits_but_nan(got) == _bits_but_nan(want)
+        for wi, li, gi in zip(w, lx, got):
+            one = lambertw._refine(np.float64(wi), np.float64(li))
+            assert isinstance(one, np.float64)
+            want = _textbook_refine(np.float64(wi), np.float64(li))
+            assert _bits_but_nan(one) == _bits_but_nan(want) == _bits_but_nan(gi), (wi, li)
+
+
+def test_refine_matches_the_textbook_step_bit_for_bit():
+    # self-consistency: the same step in two operator orders, on arrays and on
+    # float64 scalars, from every start over the mixes, at +-0, subnormal w,
+    # +-inf, NaN, w = -1 and where z is exactly 0
+    with np.errstate(all="ignore"):
+        cases = _refine_cases()
+    _assert_refine_matches_textbook(*cases)
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_refine_matches_the_textbook_step_on_drawn_points():
+    # self-consistency, as above, on drawn (w, ln|x|) pairs
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=2, max_size=8))
+    def check(pairs):
+        _assert_refine_matches_textbook(*np.array(pairs).T.copy())
+
+    check()
+
+
+def _recomputed_residual(out, x):
+    # |w*exp(w) - x_c| / max(|x_c|, 1e-300) from the returned value and the clamped x
+    x_c = np.maximum(np.asarray(x, dtype=float), BRANCH_POINT)
+    with np.errstate(all="ignore"):
+        return np.abs(out.value * np.exp(out.value) - x_c) / np.maximum(np.abs(x_c), 1e-300)
+
+
+@pytest.mark.parametrize("w, x", [(w_principal, PRINCIPAL_MIX), (w_lower, LOWER_MIX)],
+                         ids=["principal", "lower"])
+def test_residual_is_the_identity_residual_of_the_returned_value(w, x):
+    # the residual is formed on first read, from the value and the clamped x;
+    # x reaches 5e-16 below -1/e, and 1e-15 below it is added here
+    x = np.append(x, BRANCH_POINT - 1e-15)
+    for arg in (float(x[3]), np.array(x[3]), x[:1], x, np.stack([x, x[::-1]]), x[:0]):
+        out = w(arg)
+        want = _recomputed_residual(out, arg)
+        assert _bits(out.residual) == _bits(want)
+        assert np.shape(out.residual) == np.shape(arg)
+        assert out.residual is out.residual  # kept after the first read
+    for xi in x:
+        out = w(float(xi))
+        assert type(out.residual) is float
+        assert _bits(out.residual) == _bits(_recomputed_residual(out, xi)), xi
+
+
+def test_residual_reads_the_argument_as_it_was_at_the_call():
+    x = np.array([0.5, 2.0, 10.0])
+    out = w_principal(x)
+    want = _recomputed_residual(out, x.copy())
+    x[:] = 1.0
+    assert _bits(out.residual) == _bits(want)
+
+
+def test_sample_of_a_w0_set_never_forms_the_residual(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the identity residual was formed")
+
+    monkeypatch.setattr(lambertw, "_identity_residual", refuse)
+    n = 2 * sampling._BLOCK + 17
+    out = sample(validate("lai_weibull3", a=1.0, b=1.0, c=1.0), n, seed=1)
+    assert out.values.shape == (n,)
+    with pytest.raises(AssertionError):
+        w_principal(np.array([0.5, 1.0])).residual

@@ -1176,10 +1176,10 @@ def _gated_quantile(spec, v):
     return t
 
 
-def _residual(spec, t, v):
-    """|F(t) - u| = |(1 - SF(t)) - u| from one H read, a Python float for one
-    point; callers hold an ``np.errstate``."""
-    sf = _sf(_hazard(spec, t))
+def _residual(h, v):
+    """|F(t) - u| = |(1 - SF(t)) - u| from H(t) of v's shape, a Python float for
+    one point; callers hold an ``np.errstate``."""
+    sf = _sf(h)
     return abs((1.0 - sf) - v.item()) if v.size == 1 else np.abs((1.0 - sf) - v)
 
 
@@ -1194,7 +1194,7 @@ def quantile(spec, u):
     v, shape = points(u)
     with np.errstate(all="ignore"):
         t = _gated_quantile(spec, v)
-        res = _residual(spec, t, v)
+        res = _residual(_hazard(spec, t), v)
     path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
             else QuantilePath.ANALYTIC_VERIFIED)
     return QuantileResult(shaped(t, shape), path, shaped(res, shape))

@@ -21,9 +21,11 @@ A point that misses |ln H - ln L| <= 2 eps there takes one secant step, and
 one that misses it again (about 5 % over the numeric reference sets, most
 where H's own rounding noise exceeds 2 eps) takes Chandrupatla's steps (Adv.
 Eng. Softw. 28(3), 1997) from the narrowest bracket its points found, until
-it meets that rule or no double lies inside its bracket.  On those sets H
-is read 2.0 to 3.7 times per quantile.  Each returned t is certified by its
-roundtrip residual |F(t) - u|.
+it meets that rule or no double lies inside its bracket.  Each returned t
+is certified by its roundtrip residual |F(t) - u|, formed from the H the
+solver read at that t; only a point that ends in Chandrupatla's steps reads
+H once more, at the t they return.  On those sets H is read 2.0 to 4.0 times
+per quantile, the certificate included.
 
 One set of step functions serves two state holders, chosen by point count:
 a call with one point holds each value in a float64 scalar and selects with
@@ -31,7 +33,8 @@ a call with one point holds each value in a float64 scalar and selects with
 ``np.where`` and carries on with the points still open.  The functions are
 built from operators and ufuncs that give the same bits on scalars and
 arrays, so a u gets the same t alone or inside any batch.  A one-point call
-still reads H on a one-point array, through the same door.
+builds no index arrays; it still reads H on a one-point array, through the
+same door.
 """
 
 import math
@@ -41,6 +44,8 @@ import numpy as np
 
 from ._arrays import bounds, points, shaped
 from .errors import BracketError, DomainError, LambertQError
+# ``cdf`` is imported, not called: the benchmark's tracer wraps ``invert.cdf``
+# until it counts ``_hazard`` calls instead (ROADMAP item 1)
 from .families import (DistributionSpec, QuantilePath, QuantileResult, cdf, _check_u_open,
                        _hazard, _residual)
 
@@ -58,9 +63,25 @@ _GUIDE_LO, _GUIDE_PER, _GUIDE_CELLS = -745.0, 16, 749 * 16
 _NODES = np.arange(-2, 2)  # the cubic's rungs, around the bracket [j - 1, j]
 
 
+def _hazards(spec, t):
+    """(ln H(t), H(t)) on an array; ln H is +inf from hi on, and a NaN hazard
+    counts as past the root."""
+    h = _hazard(spec, t)
+    return np.fmin(np.log(h), np.inf), h
+
+
 def _log_h(spec, t):
-    """ln H(t), +inf from hi on; a NaN hazard counts as past the root."""
-    return np.fmin(np.log(_hazard(spec, t)), np.inf)
+    """ln H(t) alone: the ladder's read and that of Chandrupatla's steps."""
+    return _hazards(spec, t)[0]
+
+
+def _hazards_one(spec, t):
+    """(ln H(t), H(t)) at one float64 t: H on a one-point array through the same
+    door, ln H from the same ``np.log`` on its one value, and a NaN ln H mapped
+    to +inf by a test in place of ``np.fmin``."""
+    h = _hazard(spec, np.array([t]))
+    log_h = np.log(h.item())
+    return (log_h if log_h == log_h else math.inf), h
 
 
 def _to_t(lo):
@@ -139,9 +160,12 @@ def _cubic(at, lo, j, log_l):
     """The cubic through rungs j - 2 ... j + 1 that gives y as a function of
     ln H: its value and its slope at ln L, and the rung bracket (y_j-1, y_j)."""
     # the nodes stay on the ladder: an end bracket borrows its neighbour's cubic
-    j = min(max(j, 2), at.size - 2) if np.ndim(j) == 0 else np.clip(j, 2, at.size - 2)
-    idx = np.add.outer(_NODES, j)
-    (a0, a1, a2, a3), (y0, y1, y2, y3) = at[idx], _rung(lo, idx)
+    if np.ndim(j) == 0:  # one point: four scalar rungs, and no index array
+        j = min(max(j, 2), at.size - 2)
+        (a0, a1, a2, a3), (y0, y1, y2, y3) = at[j - 2:j + 2], [_rung(lo, j + k) for k in _NODES]
+    else:
+        idx = np.add.outer(_NODES, np.clip(j, 2, at.size - 2))
+        (a0, a1, a2, a3), (y0, y1, y2, y3) = at[idx], _rung(lo, idx)
     # Newton's divided differences, nodes taken in the order j - 1, j, j - 2, j + 1
     c1 = (y2 - y1) / (a2 - a1)
     c2 = (c1 - (y1 - y0) / (a1 - a0)) / (a2 - a0)
@@ -152,24 +176,25 @@ def _cubic(at, lo, j, log_l):
 
 
 def _point(x, bracket, to_t, log_l, read, pick):
-    """(f, x, t) with f = ln H - ln L, at x held inside the bracket (a NaN x
-    lands on its lower edge).  ``read`` is ln H and ``pick`` is ``np.where``
-    on the state holder, one float64 or an array."""
+    """(f, x, t, H) with f = ln H - ln L, at x held inside the bracket (a NaN x
+    lands on its lower edge).  ``read`` gives (ln H, H) and ``pick`` is
+    ``np.where`` on the state holder, one float64 or an array."""
     y1, y2 = bracket
     x = pick(x >= y1, pick(x <= y2, x, y2), y1)
     t = to_t(x)
-    return read(t) - log_l, x, t
+    log_h, h = read(t)
+    return log_h - log_l, x, t, h
 
 
 def _secant(first, second):
-    """The secant step's x from two points (f, x, t)."""
-    (f0, x0, _), (f1, x1, _) = first, second
+    """The secant step's x from two points (f, x, t, H)."""
+    (f0, x0, *_), (f1, x1, *_) = first, second
     return x1 - f1 * (x1 - x0) / (f1 - f0)
 
 
 def _take(arrays, i):
-    """Entries i of each array in a tuple: a point's f, x and t, a bracket, or
-    the state of Chandrupatla's steps."""
+    """Entries i of each array in a tuple: a point's f, x, t and H, a bracket,
+    or the state of Chandrupatla's steps."""
     return tuple(c[i] for c in arrays)
 
 
@@ -180,11 +205,11 @@ def _start(at, lo, to_t, j, log_l):
 
 
 def _narrow(start, pts, pick):
-    """The bracket ``start`` narrowed by points (f, x, t): the largest f below 0
-    and the smallest f from 0 on replace the edges they beat.  ``pick`` is
+    """The bracket ``start`` narrowed by points (f, x, t, H): the largest f below
+    0 and the smallest f from 0 on replace the edges they beat.  ``pick`` is
     ``np.where``, or its one-point form."""
     f1, x1, t1, f2, x2, t2 = start
-    for f, x, t in pts:
+    for f, x, t, _ in pts:
         low, high = (f < 0.0) & (f > f1), (f >= 0.0) & (f < f2)
         f1, x1, t1 = pick(low, f, f1), pick(low, x, x1), pick(low, t, t1)
         f2, x2, t2 = pick(high, f, f2), pick(high, x, x2), pick(high, t, t2)
@@ -192,10 +217,19 @@ def _narrow(start, pts, pick):
 
 
 def _trial(x1, x2, tau):
-    """The next point x1 + tau (x2 - x1), with tau held a few ulp inside (0, 1)."""
+    """The next point x1 + tau (x2 - x1), with tau held a few ulp inside (0, 1);
+    a NaN tau or margin gives a NaN point."""
     dx = x2 - x1
-    tl = np.minimum(_TWO_EPS * (abs(x1) + 1.0) / abs(dx), 0.5)
-    return x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * dx
+    tl = _TWO_EPS * (abs(x1) + 1.0) / abs(dx)  # a float64, as _TWO_EPS is: x / 0 is inf
+    if isinstance(tl, np.ndarray):
+        tl = np.minimum(tl, 0.5)
+        return x1 + np.minimum(np.maximum(tau, tl), 1.0 - tl) * dx
+    # one point: the same clip by comparisons, each far cheaper than a scalar ufunc
+    if tl > 0.5:
+        tl = 0.5
+    if not tl <= tau <= 1.0 - tl:  # tau outside, or a NaN tau or tl
+        tau = tl if tau < tl else 1.0 - tl if tau > 1.0 - tl else math.nan
+    return x1 + tau * dx
 
 
 def _closed(x1, t1, x2, t2):
@@ -210,8 +244,11 @@ def _iqi(f1, x1, f2, x2, f3, x3):
     num_f, num_x, den_f = f1 - f2, x1 - x2, f3 - f2
     phi, xi = num_f / den_f, num_x / (x3 - x2)
     alpha = (x1 - x3) / num_x  # (x3 - x1) / (x2 - x1), signs flipped
-    allowed = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-    return allowed, f1 / num_f * f3 / den_f - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+    tau = f1 / num_f * f3 / den_f - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+    if isinstance(xi, np.ndarray):
+        return (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)), tau
+    # one point: math.sqrt raises outside [0, 1], where np.sqrt's NaN fails the test
+    return 0.0 <= xi <= 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi), tau
 
 
 def _closer(f1, f2, log_u, u):
@@ -268,13 +305,16 @@ def _steps(read, to_t, u, log_u, start, pick):
 
 @np.errstate(all="ignore")
 def _bracketed_root(spec, u):
-    """t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double or within 2 eps.
+    """(t, H(t)): t with ln H(t) = ln(-ln(1 - u)) for each u, to the last double
+    or within 2 eps, and the H read there.
 
     The cubic start and Newton's step for every point, the secant step for a
     point still more than 2 eps off, Chandrupatla's steps from the narrowest
-    bracket found for one still off after that.  One point takes them in
-    scalars and returns one float64, more points take them in arrays; the
-    formulas are shared, so a point gets the same bits either way."""
+    bracket found for one still off after that.  H comes from the read that
+    ended each point; a point that ends in Chandrupatla's steps reads it once
+    more at the t they return.  One point takes the steps in scalars and
+    returns one float64 t beside a one-point H, more points take them in
+    arrays; the formulas are shared, so a point gets the same bits either way."""
     lo, hi = spec.support
     to_t = _to_t(lo)
     key = (spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
@@ -291,51 +331,59 @@ def _bracketed_root(spec, u):
             "remain at infinity)" % (spec.family, worst, _MAX_DOUBLINGS))
     if u.size == 1:
         j, u, log_u = max(at.searchsorted(log_u[0]), 1), u[0], log_u[0]
-        read = lambda t: _log_h(spec, np.array([t]))[0]
+        read = lambda t: _hazards_one(spec, t)
         args = (to_t, log_u, read, _one)
         x, slope, bracket = _cubic(at, lo, j, log_u)
         pts = [_point(x, bracket, *args)]
         pts.append(_point(pts[0][1] - pts[0][0] * slope, bracket, *args))
         if not abs(pts[1][0]) <= _TWO_EPS:
             pts.append(_point(_secant(*pts), bracket, *args))
-        f, _, t = pts[-1]
+        f, _, t, h = pts[-1]
         if not abs(f) <= _TWO_EPS:
             start = _narrow(_start(at, lo, to_t, j, log_u), pts, _one)
-            t = _steps(read, to_t, u, log_u, start, _one)
-    else:
-        j = np.maximum(_find(at, _guide(*key), log_u), 1)
-        read = lambda t: _log_h(spec, t)
-        x, slope, bracket = _cubic(at, lo, j, log_u)
-        first = _point(x, bracket, to_t, log_u, read, np.where)
-        second = _point(first[1] - first[0] * slope, bracket, to_t, log_u, read, np.where)
-        t, open_ = second[2], np.flatnonzero(~(np.abs(second[0]) <= _TWO_EPS))
-        if open_.size:  # the secant step, on the points Newton's step left open
-            pts = [_take(first, open_), _take(second, open_)]
-            pts.append(_point(_secant(*pts), _take(bracket, open_), to_t, log_u[open_], read,
-                              np.where))
-            t[open_] = pts[-1][2]
-            still = np.flatnonzero(~(np.abs(pts[-1][0]) <= _TWO_EPS))
-            if still.size:
-                pts, open_ = [_take(p, still) for p in pts], open_[still]
-                j, u, log_u = j[open_], u[open_], log_u[open_]
-                start = _narrow(_start(at, lo, to_t, j, log_u), pts, np.where)
-                t[open_] = _steps(read, to_t, u, log_u, start, np.where)
-    # an edge past a finite hi has F = 1, as hi itself has
-    return np.minimum(t, hi)
+            t = _steps(lambda t: read(t)[0], to_t, u, log_u, start, _one)
+            h = _hazard(spec, np.array([t]))
+        # an edge past a finite hi has F = 1, as hi itself has: H is +inf at both
+        return (hi if t > hi else t), h
+    j = np.maximum(_find(at, _guide(*key), log_u), 1)
+    read = lambda t: _hazards(spec, t)
+    x, slope, bracket = _cubic(at, lo, j, log_u)
+    first = _point(x, bracket, to_t, log_u, read, np.where)
+    second = _point(first[1] - first[0] * slope, bracket, to_t, log_u, read, np.where)
+    f, _, t, h = second
+    open_ = np.flatnonzero(~(np.abs(f) <= _TWO_EPS))
+    if open_.size:  # the secant step, on the points Newton's step left open
+        h = h.copy()  # a formula may return its input, and t is written below
+        pts = [_take(first, open_), _take(second, open_)]
+        pts.append(_point(_secant(*pts), _take(bracket, open_), to_t, log_u[open_], read,
+                          np.where))
+        t[open_], h[open_] = pts[-1][2:]
+        still = np.flatnonzero(~(np.abs(pts[-1][0]) <= _TWO_EPS))
+        if still.size:
+            pts, open_ = [_take(p, still) for p in pts], open_[still]
+            j, u, log_u = j[open_], u[open_], log_u[open_]
+            start = _narrow(_start(at, lo, to_t, j, log_u), pts, np.where)
+            t[open_] = _steps(lambda t: _log_h(spec, t), to_t, u, log_u, start, np.where)
+            h[open_] = _hazard(spec, t[open_])
+    return np.minimum(t, hi), h
 
 
 def invert_cdf(spec, u, tol=1e-12):
     """Vectorized t with |cdf(spec, t) - u| <= tol for each u in (0, 1).
 
-    tol must be at least 1e-14 (below that the CDF's own rounding noise
-    dominates); a smaller or NaN tol raises ValueError."""
+    The certificate |(1 - SF) - u| takes SF from the H the solver read at each
+    returned t, by the SF form ``cdf`` uses, so it has the bits of
+    |cdf(spec, t) - u| without a further H read.  tol must be at least 1e-14
+    (below that the CDF's own rounding noise dominates); a smaller or NaN tol
+    raises ValueError."""
     if not tol >= 1e-14:
         raise ValueError("invert_cdf: tol must be >= 1e-14; got %r" % tol)
     v, shape = points(u)
     if v.size == 0:
         return np.empty(shape)
-    t = _bracketed_root(spec, v.ravel()).reshape(v.shape)
-    worst = bounds(np.abs(cdf(spec, t) - v))[1]
+    t, h = _bracketed_root(spec, v.ravel())
+    res = _residual(h, v.ravel())
+    worst = res if v.size == 1 else bounds(res)[1]
     if not worst <= tol:  # a NaN residual fails too
         raise LambertQError(
             "%s: numeric inversion reached residual %r, not within the requested "
@@ -353,13 +401,14 @@ def numeric_quantile(spec, u, tol=1e-12):
     from ln L (see the module docstring).  One u takes the steps in scalars,
     more u take the same steps in arrays, so a u gets the same t either way.
     Returns a QuantileResult on the Numeric path whose roundtrip residual is
-    certified <= tol, or raises LambertQError; ``invert_cdf`` gates tol.  The
-    reported residual comes from the SF form that ``quantile`` and ``cdf``
-    use, on one more H read after the certificate's.
+    certified <= tol, or raises LambertQError; ``invert_cdf`` gates tol and
+    certifies from the H its solver read.  The reported residual comes from
+    the SF form that ``quantile`` and ``cdf`` use, on one more H read, so it
+    has the certificate's bits.
     """
     v, shape = points(u)
     _check_u_open(v, spec)
     t = invert_cdf(spec, v, tol=tol)
     with np.errstate(all="ignore"):
-        res = _residual(spec, t, v)
+        res = _residual(_hazard(spec, t), v)
     return QuantileResult(shaped(t, shape), QuantilePath.NUMERIC, shaped(res, shape))

@@ -301,10 +301,10 @@ def test_sampled_quantiles_match_bisection_oracle():
 
 
 def test_inverter_calls_survival_a_bounded_number_of_times(monkeypatch, ladder):
-    # the work done, counted independent of timing: the ladder pass, the
-    # passes over the still active points and the certificate, each one call
-    # of the family's cumulative hazard; the passes between them evaluate H at
-    # about three points per quantile
+    # the work done, counted independent of timing: the ladder pass and the
+    # passes over the still active points, each one call of the family's
+    # cumulative hazard; the certificate reads no H of its own, and the passes
+    # after the ladder evaluate H at about three points per quantile
     spec = validate("xie_lai3", a=1.0, b=2.0, c=1.0)
     fam = families.family_info("xie_lai3")
     calls = []
@@ -318,14 +318,14 @@ def test_inverter_calls_survival_a_bounded_number_of_times(monkeypatch, ladder):
     u = counter_uniforms(2024, 0, 5000)
     t = invert_cdf(spec, u, tol=1e-12)
     assert len(calls) <= 10, len(calls)
-    assert calls[0] == ladder(*_ladder_key(spec)).size and calls[-1] == u.size, calls
-    assert sum(calls[1:-1]) / u.size <= 3.3, calls
+    assert calls[0] == ladder(*_ladder_key(spec)).size, calls
+    assert sum(calls[1:]) / u.size <= 3.3, calls
     assert np.all(np.diff(t[np.argsort(u)]) >= 0.0)
 
 
-# H points read on one sampler block of 2^14 quantiles, ladder and certificate
-# aside, when Chandrupatla's method took every point from its rung bracket
-# (about 3.0 per quantile, 4.14 on the last phani5 set): the inverter may
+# H points read on one sampler block of 2^14 quantiles, ladder aside, when
+# Chandrupatla's method took every point from its rung bracket (about 3.0 per
+# quantile, 4.14 on the last phani5 set): the inverter may
 # spend no more on any of the 11 numeric sets of the bulk benchmark (the steep
 # phani5 set is not among them)
 _H_BUDGET = [
@@ -357,8 +357,8 @@ def test_hazard_points_per_quantile_stay_within_budget(monkeypatch, ladder, fami
     monkeypatch.setitem(families._FAMILIES, family, dataclasses.replace(fam, hazard=counting_hazard))
     u = counter_uniforms(2024, 0, 2 ** 14)
     invert_cdf(spec, u)
-    # the first call is the ladder, the last the certificate
-    assert sum(calls[1:-1]) <= budget, calls
+    # the first call is the ladder; the certificate reads no H of its own
+    assert sum(calls[1:]) <= budget, calls
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,8 @@ def test_cold_cache_gives_the_bits_of_a_fresh_evaluation(ladder):
             ladder.cache_clear()
             cold = invert._bracketed_root(spec, u.copy())
             warm = invert._bracketed_root(spec, u.copy())
-            assert cold.tobytes() == warm.tobytes(), (name, spec.params)
+            for c, w in zip(cold, warm):  # t, and H at t
+                assert c.tobytes() == w.tobytes(), (name, spec.params)
             cached, fresh = ladder(*_ladder_key(spec)), ladder.__wrapped__(*_ladder_key(spec))
             assert cached.tobytes() == fresh.tobytes(), (name, spec.params)
 
@@ -495,6 +496,68 @@ def test_one_point_calls_give_the_bits_of_one_vector_call(spec):
     assert _bits([r.t for r in scalar]) == _bits(vec.t)
     assert _bits([r.roundtrip_residual for r in scalar]) == _bits(vec.roundtrip_residual)
     assert _bits([survival(spec, r.t) for r in scalar]) == _bits(survival(spec, vec.t))
+
+
+def _failure_text(spec, u):
+    """The error text of an invert_cdf that fails at u, with the worst
+    |cdf(spec, t) - u| over the t its solver returned."""
+    t = invert._bracketed_root(spec, np.atleast_1d(u))[0]
+    worst = float(np.max(np.abs(cdf(spec, t) - u)))
+    return ("%s: numeric inversion reached residual %r, not within the requested "
+            "tolerance %r" % (spec.family, worst, 1e-12))
+
+
+@pytest.mark.parametrize("spec", all_reference_specs(), ids=lambda s: "%s%s" % (
+    s.family, sorted(s.params.values())))
+def test_certificate_has_the_bits_of_the_cdf_residual(spec):
+    # the certificate reads SF from the H the solver kept, and must still be
+    # |cdf(t) - u| to the bit, alone and in an array, passing or failing
+    kept = []
+    for u in TAIL_PROBS.tolist():
+        try:
+            res = numeric_quantile(spec, u)
+        except LambertQError as exc:
+            assert str(exc) == _failure_text(spec, u), u
+            continue
+        assert res.roundtrip_residual <= 1e-12, u
+        assert _bits(res.roundtrip_residual) == _bits(abs(cdf(spec, res.t) - u)), u
+        kept.append(u)
+    if len(kept) < TAIL_PROBS.size:
+        with pytest.raises(LambertQError) as info:
+            numeric_quantile(spec, TAIL_PROBS)
+        assert str(info.value) == _failure_text(spec, TAIL_PROBS)
+    vec = numeric_quantile(spec, np.array(kept))
+    assert _bits(vec.roundtrip_residual) == _bits(np.abs(cdf(spec, vec.t) - np.array(kept)))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("xie_lai3", dict(a=1.0, b=2.0, c=1.0)),
+    ("nadarajah_kotz", dict(a=2.0, b=2.0, c=0.5, d=2.0)),
+    ("phani5", dict(a=1.0, b=3.0, c=0.7, d=2.0, e=0.5)),
+])
+def test_one_point_numeric_quantile_reads_h_once_after_its_solve(monkeypatch, ladder, family,
+                                                                  params):
+    # the certificate reuses the solver's H; only the reported residual reads it again
+    spec = validate(family, **params)
+    fam = families.family_info(family)
+    calls = []
+
+    def counting_hazard(t, p):
+        calls.append(np.size(t))
+        return fam.hazard(t, p)
+
+    monkeypatch.setitem(families._FAMILIES, family, dataclasses.replace(fam, hazard=counting_hazard))
+    invert._bracketed_root(spec, np.array([0.5]))  # the ladder, once
+    longest = 0
+    for u in TAIL_PROBS.tolist():
+        calls.clear()
+        invert._bracketed_root(spec, np.array([u]))
+        solve = len(calls)
+        calls.clear()
+        numeric_quantile(spec, u)
+        assert calls == [1] * (solve + 1), (u, solve, calls)
+        longest = max(longest, solve)
+    assert longest > 3  # some u reached Chandrupatla's steps
 
 
 def _fallback(spec, u, one):

@@ -32,7 +32,10 @@ def test_every_traced_attribute_resolves():
         assert callable(getattr(module, attr, None)), (module.__name__, attr)
 
 
-def test_numeric_quantile_goes_through_invert_cdf_and_its_cdf(monkeypatch):
+def test_numeric_quantile_goes_through_invert_cdf(monkeypatch):
+    # the scalar route's invert.self_us_per_call is read from invert_cdf spans;
+    # invert_cdf certifies from the H its solver read and calls no cdf, so the
+    # tracer's invert.cdf_* metrics read 0.0, a finite number
     calls = {"invert_cdf": 0, "cdf_inside_invert_cdf": 0}
     depth = []
     invert_cdf, cdf = invert.invert_cdf, invert.cdf
@@ -52,8 +55,7 @@ def test_numeric_quantile_goes_through_invert_cdf_and_its_cdf(monkeypatch):
     monkeypatch.setattr(invert, "invert_cdf", counting_invert_cdf)
     monkeypatch.setattr(invert, "cdf", counting_cdf)
     lambertq.numeric_quantile(validate("xie_lai3", a=1.0, b=2.0, c=1.0), 0.3)
-    assert calls["invert_cdf"] == 1, calls
-    assert calls["cdf_inside_invert_cdf"] >= 1, calls
+    assert calls == {"invert_cdf": 1, "cdf_inside_invert_cdf": 0}, calls
 
 
 def _count_sampler_calls(monkeypatch):

@@ -569,9 +569,9 @@ def _fallback(spec, u, one):
         log_l = np.log(-np.log1p(-u))
         j = np.maximum(at.searchsorted(log_l), 1)
         if not one:
-            return invert._steps(lambda t: invert._log_h(spec, t), to_t, u, log_l,
+            return invert._steps(lambda t: invert._hazards(spec, t), to_t, u, log_l,
                                  invert._start(at, lo, to_t, j, log_l), np.where)
-        read = lambda t: invert._log_h(spec, np.array([t]))[0]
+        read = lambda t: invert._hazards_one(spec, t)
         return np.hstack([
             invert._steps(read, to_t, u[i], log_l[i],
                           invert._start(at, lo, to_t, int(j[i]), log_l[i]), invert._one)

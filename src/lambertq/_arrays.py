@@ -14,7 +14,10 @@ import numpy as np
 
 def points(x):
     """x as a float array of at least one dimension, and the shape the result
-    takes: a 0-d x is read as one point, and its shape () stays ()."""
+    takes: a 0-d x is read as one point, and its shape () stays ().  A Python
+    float goes straight into a one-point array, the cheaper way to the same."""
+    if type(x) is float:
+        return np.array([x]), ()
     v = np.asarray(x, dtype=float)
     return (v.reshape(1) if v.ndim == 0 else v), v.shape
 

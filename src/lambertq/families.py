@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._arrays import bounds, points, shaped
+from ._pending import formed_on_first_read, pending
 from .errors import BracketError, DomainError, NoAnalyticFormError, ParamError
 from .lambertw import w_principal, w_principal_from_log
 from .normal import std_normal_cdf, std_normal_quantile
@@ -72,9 +73,15 @@ class QuantilePath(Enum):
     NUMERIC = "Numeric"                       # bracketed numeric inversion
 
 
+@formed_on_first_read("roundtrip_residual")
 @dataclass(frozen=True)
 class QuantileResult:
-    """Quantile value plus provenance and the roundtrip residual |F(t) - u|."""
+    """Quantile value plus provenance and the roundtrip residual |F(t) - u|.
+
+    ``quantile`` and ``numeric_quantile`` form the residual from the spec, t
+    and u, on one H read, the first time ``roundtrip_residual`` is read (the
+    rule of ``_pending``), so a caller that keeps only t reads no H for it.
+    """
 
     t: float
     path: QuantilePath
@@ -122,6 +129,16 @@ def _log1mexp(x):
     if x.size == 1:
         return np.log(-np.expm1(x)) if x.item() > _MINUS_LN2 else np.log1p(-np.exp(x))
     return np.where(x > _MINUS_LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+
+
+def _past_overflow(h, t, form):
+    """h with form(t) written where h is not finite; a NaN or inf in h means
+    a product overflowed (or met 0 * inf) where H may still be finite.  The
+    ``bounds`` test lets an all-finite h, and so every in-range bit, pass."""
+    if not bounds(h)[1] < _INF:  # a NaN fails too
+        over = ~(h < _INF)
+        h[over] = form(t[over])
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -449,12 +466,8 @@ def _h_ext_weibull(t, p):
     # H = ln(1 + (e^x - 1)/a): no cancellation for any a.  (e^x - 1)/a
     # overflows from x = 709.8 + ln a on; there H = x - ln a + ln(1 + (a-1) e^-x)
     a, x = p["a"], (p["b"] * t) ** p["c"]
-    h = np.log1p(np.expm1(x) / a)
-    over = h == _INF
-    if over.any():
-        x = x[over]
-        h[over] = x - math.log(a) + np.log1p((a - 1.0) * np.exp(-x))
-    return h
+    return _past_overflow(np.log1p(np.expm1(x) / a), x,
+                          lambda x: x - math.log(a) + np.log1p((a - 1.0) * np.exp(-x)))
 
 
 def _q_ext_weibull(u, p):
@@ -842,7 +855,11 @@ _register(Family(
 
 
 def _h_lomax_like(t, p, d):
-    return d * np.log1p((p["a"] * t) ** p["b"] * np.exp(p["c"] * t))
+    # (a t)^b e^(c t) overflows once c t > 709.78, while H is still moderate:
+    # there H = d ln(1 + e^(b ln(a t) + c t))
+    a, b, c = p["a"], p["b"], p["c"]
+    return _past_overflow(d * np.log1p((a * t) ** b * np.exp(c * t)), t,
+                          lambda t: d * np.logaddexp(0.0, b * np.log(a * t) + c * t))
 
 
 def _q_lomax_like(u, p, d):
@@ -865,7 +882,11 @@ _register(Family(
 
 
 def _h_gompertz_makeham(t, p):
-    return p["a"] * t + (p["b"] / p["c"]) * np.expm1(p["c"] * t)
+    # (b/c) expm1(c t) overflows once c t > 709.78, even where b/c is tiny and
+    # H small; there the term is e^(ln b - ln c + c t) - b/c
+    a, b, c = p["a"], p["b"], p["c"]
+    return _past_overflow(a * t + (b / c) * np.expm1(c * t), t,
+                          lambda t: a * t + (np.exp(math.log(b) - math.log(c) + c * t) - b / c))
 
 
 def _gm_log_arg(l_u, p):
@@ -942,8 +963,11 @@ _register(Family(
 
 
 def _h_mod_pareto4(t, p):
+    # as _h_lomax_like: past the overflow of e^(c tau), H = d ln(1 + e^(ln(a tau)/b + c tau))
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
     tau = t - p["mu"]
-    return p["d"] * np.log1p((p["a"] * tau) ** (1.0 / p["b"]) * np.exp(p["c"] * tau))
+    return _past_overflow(d * np.log1p((a * tau) ** (1.0 / b) * np.exp(c * tau)), tau,
+                          lambda tau: d * np.logaddexp(0.0, np.log(a * tau) / b + c * tau))
 
 
 def _q_mod_pareto4(u, p):
@@ -1125,7 +1149,9 @@ def _sf(h):
     as a Python float and returns one; ``np.exp`` stays the NumPy ufunc
     either way, so both give the same bits."""
     if h.size == 1:
-        return float(np.exp(-max(h.item(), 0.0)))
+        x = h.item()
+        # max(H, 0) by one comparison, which keeps a NaN, at a third of the builtin's cost
+        return float(np.exp(-(0.0 if x < 0.0 else x)))
     return np.exp(-np.maximum(h, 0.0))
 
 
@@ -1154,9 +1180,11 @@ def _check_u_open(v, spec):
         )
 
 
+@np.errstate(all="ignore")
 def _gated_quantile(spec, v):
-    """The gate of ``quantile_values`` and ``quantile``, on a float array v;
-    callers hold an ``np.errstate``."""
+    """The gate of ``quantile_values`` and ``quantile``, on a float array v.
+    ``np.errstate`` as a decorator costs about half of its ``with`` form
+    (0.6 against 1.4 us, timeit, 2-vCPU x86-64), which one-point calls feel."""
     fam = family_info(spec.family)
     if fam.quantile is None:
         raise NoAnalyticFormError(
@@ -1183,21 +1211,37 @@ def _residual(h, v):
     return abs((1.0 - sf) - v.item()) if v.size == 1 else np.abs((1.0 - sf) - v)
 
 
+@np.errstate(all="ignore")
+def _roundtrip(spec, t, v, shape):
+    """|F(t) - u| in ``shape``, from t and u as float arrays of v's shape: the
+    residual a ``QuantileResult`` forms on its first read."""
+    res = _residual(_hazard(spec, t), v)
+    return shaped(res, shape) if shape else res  # one point gives a Python float
+
+
+def _result(spec, u, v, shape, t, path):
+    """The QuantileResult of t for u, read as v by ``points`` (t and v float
+    arrays of v's shape), its residual pending on what the caller cannot
+    change: v, copied where it is u or a view of it, and t, copied where the
+    result's t is an array over it."""
+    kept = (spec, t.copy() if shape else t, v.copy() if v is u or v.base is not None else v,
+            shape)
+    return pending(QuantileResult, _roundtrip, kept, t=shaped(t, shape), path=path)
+
+
 def quantile(spec, u):
     """Analytic quantile Q(u) with provenance and roundtrip residual.
 
     Uses the family's closed form (corrected derivation where the
     catalogued form is wrong).  Families without an analytic inverse
-    raise NoAnalyticFormError; use numeric_quantile for those.  The formula
-    and the residual run under one ``np.errstate``.
+    raise NoAnalyticFormError; use numeric_quantile for those.  The
+    residual is formed on its first read, on one H read at t.
     """
     v, shape = points(u)
-    with np.errstate(all="ignore"):
-        t = _gated_quantile(spec, v)
-        res = _residual(_hazard(spec, t), v)
-    path = (QuantilePath.ANALYTIC_CORRECTED if family_info(spec.family).corrected
+    t = _gated_quantile(spec, v)
+    path = (QuantilePath.ANALYTIC_CORRECTED if _FAMILIES[spec.family].corrected
             else QuantilePath.ANALYTIC_VERIFIED)
-    return QuantileResult(shaped(t, shape), path, shaped(res, shape))
+    return _result(spec, u, v, shape, t, path)
 
 
 def quantile_values(spec, u):
@@ -1209,8 +1253,7 @@ def quantile_values(spec, u):
     raises BracketError, as ``invert_cdf`` does where no bracket exists.
     """
     v, shape = points(u)
-    with np.errstate(all="ignore"):
-        return shaped(_gated_quantile(spec, v), shape)
+    return shaped(_gated_quantile(spec, v), shape)
 
 
 def wl_hazard(a, b, c, t):

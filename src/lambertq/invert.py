@@ -23,9 +23,11 @@ where H's own rounding noise exceeds 2 eps) takes Chandrupatla's steps (Adv.
 Eng. Softw. 28(3), 1997) from the narrowest bracket its points found, until
 it meets that rule or no double lies inside its bracket.  Each returned t
 is certified by its roundtrip residual |F(t) - u|, formed from the H the
-solver read at that t; only a point that ends in Chandrupatla's steps reads
-H once more, at the t they return.  On those sets H is read 2.0 to 4.0 times
-per quantile, the certificate included.
+solver read at that t: the steps return the H their read gave at the edge
+they return, and only an edge that is a rung no step read has H read once
+more.  On those sets H is read 2.0 to 3.7 times per quantile on a block of
+2^14, the certificate included; ``numeric_quantile`` reads none for its
+reported residual until that is first read.
 
 One set of step functions serves two state holders, chosen by point count:
 a call with one point holds each value in a float64 scalar and selects with
@@ -44,6 +46,7 @@ Taking each out alone lowered one-point numeric quantiles per second by
 """
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -52,8 +55,8 @@ from ._arrays import bounds, points, shaped
 from .errors import BracketError, DomainError, LambertQError
 # ``cdf`` is imported, not called: the benchmark's tracer wraps ``invert.cdf``
 # until it counts ``_hazard`` calls instead (ROADMAP item 1)
-from .families import (DistributionSpec, QuantilePath, QuantileResult, cdf, _check_u_open,
-                       _hazard, _residual)
+from .families import (DistributionSpec, QuantilePath, cdf, _check_u_open, _hazard,
+                       _residual, _result)
 
 __all__ = ["numeric_quantile", "invert_cdf"]
 
@@ -98,17 +101,25 @@ def _rung(lo, j):
     return np.copysign(np.exp2((np.abs(s) - 0.5) / _PER_OCTAVE), s)
 
 
+def _key(spec):
+    """The ladder's cache key: the family, the parameter names, and the exact
+    bits of the parameters and the support ends, packed as doubles, so 0.0
+    and -0.0 part ways."""
+    p = spec.params
+    return spec.family, tuple(p), struct.pack("%dd" % (len(p) + 2), *p.values(), *spec.support)
+
+
 @lru_cache(maxsize=_LADDERS)
 @np.errstate(all="ignore")
-def _ladder(family, bits, support):
-    """Read-only running maximum of ln H on the rungs, which needs no u.
+def _ladder(family, names, bits):
+    """Read-only running maximum of ln H on the rungs, which needs no u, for
+    the key ``_key`` gives.
 
-    The key holds each parameter's exact bits (``float.hex``), so 0.0 and
-    -0.0 part ways.  A ladder holds at most 49 570 doubles (397 KB, for a
-    finite lo near the largest double), so the cache of 128 holds at most
-    50.8 MB; at lo = 0 a ladder is 33 186 doubles (265 KB), 34.0 MB for 128.
+    A ladder holds at most 49 570 doubles (397 KB, for a finite lo near the
+    largest double), so the cache of 128 holds at most 50.8 MB; at lo = 0 a
+    ladder is 33 186 doubles (265 KB), 34.0 MB for 128.
     """
-    lo, hi = (float.fromhex(h) for h in support)
+    *values, lo, hi = struct.unpack("%dd" % (len(names) + 2), bits)
     if math.isfinite(lo):
         top = (math.log2(hi - lo) if math.isfinite(hi)
                else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
@@ -116,7 +127,7 @@ def _ladder(family, bits, support):
         count = math.ceil((top - _Y_FLOOR) * _PER_OCTAVE) + 2
     else:
         count = 2 * _MAX_DOUBLINGS * _PER_OCTAVE + 2
-    spec = DistributionSpec(family, {k: float.fromhex(h) for k, h in bits}, (lo, hi))
+    spec = DistributionSpec(family, dict(zip(names, values)), (lo, hi))
     at = _hazards(spec, _to_t(lo)(_rung(lo, np.arange(count))))[0]
     at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
     np.maximum.accumulate(at, out=at)
@@ -125,11 +136,11 @@ def _ladder(family, bits, support):
 
 
 @lru_cache(maxsize=_LADDERS)
-def _guide(family, bits, support):
+def _guide(family, names, bits):
     """Chen and Asau's guide table over the ladder (AIIE Trans. 6, 1974): entry k
     is the first rung whose ln H reaches the cell edge -745 + k/16.  A function
     of the ladder alone, read-only, 11 985 int32 (47 KB), 6.1 MB for 128."""
-    at = _ladder(family, bits, support)
+    at = _ladder(family, names, bits)
     edges = _GUIDE_LO + np.arange(_GUIDE_CELLS + 1) / _GUIDE_PER
     guide = at.searchsorted(edges).astype(np.int32)
     guide.flags.writeable = False
@@ -200,21 +211,24 @@ def _take(arrays, i):
 
 
 def _start(at, lo, to_t, j, log_l):
-    """The first bracket, rung j - 1 and rung j, as f1 x1 t1 f2 x2 t2."""
+    """The first bracket, rung j - 1 and rung j, as f1 x1 t1 H1 f2 x2 t2 H2.  A
+    rung's ln H is the ladder's running maximum, not a read of H at its t, so
+    its H is NaN: unread, to be read if the rung is the edge a point returns."""
     y1, y2 = _rung(lo, j - 1), _rung(lo, j)
-    return at[j - 1] - log_l, y1, to_t(y1), at[j] - log_l, y2, to_t(y2)
+    unread = math.nan if np.ndim(j) == 0 else np.full(j.shape, math.nan)
+    return at[j - 1] - log_l, y1, to_t(y1), unread, at[j] - log_l, y2, to_t(y2), unread
 
 
 def _narrow(start, pts, pick):
     """The bracket ``start`` narrowed by points (f, x, t, H): the largest f below
-    0 and the smallest f from 0 on replace the edges they beat.  ``pick`` is
-    ``np.where``, or its one-point form."""
-    f1, x1, t1, f2, x2, t2 = start
-    for f, x, t, _ in pts:
+    0 and the smallest f from 0 on replace the edges they beat, with their H.
+    ``pick`` is ``np.where``, or its one-point form."""
+    f1, x1, t1, h1, f2, x2, t2, h2 = start
+    for f, x, t, h in pts:
         low, high = (f < 0.0) & (f > f1), (f >= 0.0) & (f < f2)
-        f1, x1, t1 = pick(low, f, f1), pick(low, x, x1), pick(low, t, t1)
-        f2, x2, t2 = pick(high, f, f2), pick(high, x, x2), pick(high, t, t2)
-    return f1, x1, t1, f2, x2, t2
+        f1, x1, t1, h1 = (pick(low, a, b) for a, b in ((f, f1), (x, x1), (t, t1), (h, h1)))
+        f2, x2, t2, h2 = (pick(high, a, b) for a, b in ((f, f2), (x, x2), (t, t2), (h, h2)))
+    return f1, x1, t1, h1, f2, x2, t2, h2
 
 
 def _trial(x1, x2, tau):
@@ -261,48 +275,51 @@ def _closer(f1, f2, log_u, u):
 
 
 def _steps(read, to_t, u, log_u, start, pick):
-    """Chandrupatla's steps from ``start``, for one point held in float64 scalars
-    or for many in arrays; ``read`` gives (ln H, H), as for ``_point``, and
-    ``pick`` is ``np.where`` on the holder.  The first step is the secant
+    """(t, H): Chandrupatla's steps from ``start``, for one point held in float64
+    scalars or for many in arrays; ``read`` gives (ln H, H), as for ``_point``,
+    and ``pick`` is ``np.where`` on the holder.  The first step is the secant
     across ``start``, or the midpoint where that is not finite.  A point ends
     when it meets 2 eps or its bracket closes, and returns the edge whose F
-    lies closer to u; one still open after _MAX_STEPS steps returns an edge of
-    ``start``."""
+    lies closer to u, with the H read there (NaN at a rung no step read); one
+    still open after _MAX_STEPS steps returns an edge of ``start``."""
     # on float64 scalars count_nonzero, np.isfinite and == on np.bool_ each take
     # about 0.6 us, bool, abs(.) < inf and ^ about 0.05 us (timeit, 2-vCPU x86-64)
     count, n = (bool, 1) if pick is _one else (np.count_nonzero, u.size)
-    f1, x1, t1, f2, x2, t2 = start
-    f3, x3, ends, log_l, idx = f2, x2, (f1, t1, f2, t2), log_u, None
+    f1, x1, t1, h1, f2, x2, t2, h2 = start
+    f3, x3, ends, log_l, idx = f2, x2, (f1, t1, h1, f2, t2, h2), log_u, None
     tau = f1 / (f1 - f2)
     tau = pick(abs(tau) < math.inf, tau, 0.5)
     for _ in range(_MAX_STEPS):
         x = _trial(x1, x2, tau)
         t = to_t(x)
-        f = read(t)[0] - log_l
+        log_h, h = read(t)
+        f = log_h - log_l
         flip = (f < 0.0) ^ (f1 < 0.0)  # a sign change: edge 1 becomes edge 2
         f3, x3 = pick(flip, f2, f1), pick(flip, x2, x1)
-        f2, x2, t2 = pick(flip, f1, f2), pick(flip, x1, x2), pick(flip, t1, t2)
-        f1, x1, t1 = f, x, t
+        f2, x2, t2, h2 = (pick(flip, f1, f2), pick(flip, x1, x2), pick(flip, t1, t2),
+                          pick(flip, h1, h2))
+        f1, x1, t1, h1 = f, x, t, h
         done = (abs(f) <= _TWO_EPS) | _closed(x1, t1, x2, t2)
         finished = count(done)
         if finished == n and idx is None:  # every point at once, as one point ends
-            ends = f1, t1, f2, t2
+            ends = f1, t1, h1, f2, t2, h2
             break
         if finished:  # some of many points: ends keeps their edges, the rest go on
             if idx is None:
                 ends, idx = [e.copy() for e in ends], np.arange(n)
             i = idx[done]
-            for e, c in zip(ends, (f1, t1, f2, t2)):
+            for e, c in zip(ends, (f1, t1, h1, f2, t2, h2)):
                 e[i] = c[done]
             if finished == n:
                 break
-            f1, x1, t1, f2, x2, t2, f3, x3, log_l, idx = _take(
-                (f1, x1, t1, f2, x2, t2, f3, x3, log_l, idx), ~done)
+            f1, x1, t1, h1, f2, x2, t2, h2, f3, x3, log_l, idx = _take(
+                (f1, x1, t1, h1, f2, x2, t2, h2, f3, x3, log_l, idx), ~done)
             n -= finished
         allowed, tau = _iqi(f1, x1, f2, x2, f3, x3)
         tau = pick(allowed, tau, 0.5)
-    f1, t1, f2, t2 = ends
-    return pick(_closer(f1, f2, log_u, u), t1, t2)
+    f1, t1, h1, f2, t2, h2 = ends
+    closer = _closer(f1, f2, log_u, u)
+    return pick(closer, t1, t2), pick(closer, h1, h2)
 
 
 @np.errstate(all="ignore")
@@ -313,14 +330,14 @@ def _bracketed_root(spec, u):
     The cubic start and Newton's step for every point, the secant step for a
     point still more than 2 eps off, Chandrupatla's steps from the narrowest
     bracket found for one still off after that.  H comes from the read that
-    ended each point; a point that ends in Chandrupatla's steps reads it once
-    more at the t they return.  One point takes the steps in scalars and
-    returns one float64 t beside a one-point H, more points take them in
-    arrays; the formulas are shared, so a point gets the same bits either way."""
+    ended each point, or from the step that read the edge Chandrupatla's steps
+    return; only an edge that is a rung no step read has its H read here.  One
+    point takes the steps in scalars and returns one float64 t beside a
+    one-point H, more points take them in arrays; the formulas are shared, so
+    a point gets the same bits either way."""
     lo, hi = spec.support
     to_t = _to_t(lo)
-    key = (spec.family, tuple((k, float(v).hex()) for k, v in spec.params.items()),
-           (float(lo).hex(), float(hi).hex()))
+    key = _key(spec)
     at = _ladder(*key)
     log_u = np.log(-np.log1p(-u))
     span = bounds(log_u)
@@ -343,8 +360,9 @@ def _bracketed_root(spec, u):
         f, _, t, h = pts[-1]
         if not abs(f) <= _TWO_EPS:
             start = _narrow(_start(at, lo, to_t, j, log_u), pts, _one)
-            t = _steps(read, to_t, u, log_u, start, _one)
-            h = _hazard(spec, np.array([t]))
+            t, h = _steps(read, to_t, u, log_u, start, _one)
+            if not h == h:  # a rung no step read (or a NaN H, which reads NaN again)
+                h = _hazard(spec, np.array([t]))
         # an edge past a finite hi has F = 1, as hi itself has: H is +inf at both
         return (hi if t > hi else t), h
     j = np.maximum(_find(at, _guide(*key), log_u), 1)
@@ -365,8 +383,10 @@ def _bracketed_root(spec, u):
             pts, open_ = [_take(p, still) for p in pts], open_[still]
             j, u, log_u = j[open_], u[open_], log_u[open_]
             start = _narrow(_start(at, lo, to_t, j, log_u), pts, np.where)
-            t[open_] = _steps(read, to_t, u, log_u, start, np.where)
-            h[open_] = _hazard(spec, t[open_])
+            t[open_], h[open_] = _steps(read, to_t, u, log_u, start, np.where)
+            unread = open_[np.isnan(h[open_])]
+            if unread.size:
+                h[unread] = _hazard(spec, t[unread])
     return np.minimum(t, hi), h
 
 
@@ -404,13 +424,11 @@ def numeric_quantile(spec, u, tol=1e-12):
     more u take the same steps in arrays, so a u gets the same t either way.
     Returns a QuantileResult on the Numeric path whose roundtrip residual is
     certified <= tol, or raises LambertQError; ``invert_cdf`` gates tol and
-    certifies from the H its solver read.  The reported residual comes from
-    the SF form that ``quantile`` and ``cdf`` use, on one more H read, so it
-    has the certificate's bits.
+    certifies from the H its solver read, so the call reads H only in its
+    solve.  The reported residual is formed on its first read, as
+    ``quantile``'s is: one more H read at t, through the SF form that
+    ``quantile`` and ``cdf`` use, so it has the certificate's bits.
     """
     v, shape = points(u)
     _check_u_open(v, spec)
-    t = invert_cdf(spec, v, tol=tol)
-    with np.errstate(all="ignore"):
-        res = _residual(_hazard(spec, t), v)
-    return QuantileResult(shaped(t, shape), QuantilePath.NUMERIC, shaped(res, shape))
+    return _result(spec, u, v, shape, invert_cdf(spec, v, tol=tol), QuantilePath.NUMERIC)

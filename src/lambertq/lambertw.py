@@ -43,6 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._arrays import bounds, points, shaped
+from ._pending import formed_on_first_read, pending
 from .errors import DomainError
 
 __all__ = ["Branch", "WEvaluation", "w_principal", "w_lower", "w_series", "tree_t"]
@@ -68,30 +69,20 @@ class Branch(Enum):
     LOWER = "lower"
 
 
+@formed_on_first_read("residual")
 @dataclass(frozen=True)
 class WEvaluation:
     """A Lambert W value with its identity residual and iteration count.
 
-    An evaluation from ``w_principal`` or ``w_lower`` holds the solved points
-    and the clamped argument x_c in place of the residual, and forms
-    |w*exp(w) - x_c| / max(|x_c|, 1e-300) the first time ``residual`` is read
-    (then keeps it), so a caller that keeps only ``value`` never pays for it.
+    An evaluation from ``w_principal`` or ``w_lower`` forms the residual
+    |w*exp(w) - x_c| / max(|x_c|, 1e-300) from the solved points and the
+    clamped argument x_c the first time ``residual`` is read (the rule of
+    ``_pending``), so a caller that keeps only ``value`` never pays for it.
     """
 
     value: float
     residual: float
     iterations: int
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: ``residual`` before
-        # its first read; the pending entry is dropped once the residual is kept
-        pending = self.__dict__.get("_pending") if name == "residual" else None
-        if pending is None:
-            raise AttributeError(name)
-        res = _identity_residual(*pending)
-        object.__setattr__(self, "residual", res)
-        self.__dict__.pop("_pending", None)
-        return res
 
 
 def _identity_residual(w, x, shape):
@@ -221,6 +212,7 @@ def _solve_one(x, lx, branch):
     return _refine(w0, lx), 2
 
 
+@np.errstate(all="ignore")  # ln 0 = -inf at x = 0, which is never refined
 def _evaluate(x, branch):
     v, shape = points(x)
     lo, hi = bounds(v)  # a NaN anywhere makes both NaN; no point gives (inf, -inf)
@@ -232,19 +224,16 @@ def _evaluate(x, branch):
         )
     if branch is Branch.LOWER and hi >= 0.0:
         raise DomainError("w_lower: x must be < 0; got %r" % hi)
-    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
-        if v.size == 1:
-            v = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
-            w, iters = _solve_one(v, np.log(abs(v)), branch)
-        else:
-            # absorb sub-branch-point roundoff, or copy: the residual reads x
-            # later, and the caller's array may change by then
-            v = np.maximum(v, _BRANCH_POINT) if lo < _BRANCH_POINT else v.copy()
-            w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
-    out = object.__new__(WEvaluation)  # with the residual pending, formed on first read
-    out.__dict__.update(value=shaped(w, shape), iterations=shaped(iters, shape),
-                        _pending=(w, v, shape))
-    return out
+    if v.size == 1:
+        v = np.float64(max(lo, _BRANCH_POINT))  # absorb sub-branch-point roundoff
+        w, iters = _solve_one(v, np.log(abs(v)), branch)
+    else:
+        # absorb sub-branch-point roundoff, or copy: the residual reads x
+        # later, and the caller's array may change by then
+        v = np.maximum(v, _BRANCH_POINT) if lo < _BRANCH_POINT else v.copy()
+        w, iters = _solve(v, np.log(np.abs(v)), lo, hi, branch)
+    return pending(WEvaluation, _identity_residual, (w, v, shape),
+                   value=shaped(w, shape), iterations=shaped(iters, shape))
 
 
 def w_principal(x):
@@ -276,6 +265,7 @@ def w_series(x, n_terms):
     return shaped(_series_sum(v, n), shape)
 
 
+@np.errstate(all="ignore")  # ln 0 = -inf at x = 0, which is never refined
 def tree_t(x):
     """Tree function T(x) = -W0(-x), defined for x <= 1/e."""
     v, shape = points(x)
@@ -285,17 +275,17 @@ def tree_t(x):
     top = -_BRANCH_POINT  # 1/e
     if hi > top + _CLAMP_BELOW:
         raise DomainError("tree_t: x must be <= 1/e; got %r" % hi)
-    with np.errstate(all="ignore"):  # ln 0 = -inf at x = 0, which is never refined
-        if v.size == 1:
-            neg = np.float64(-min(lo, top))
-            out = -_solve_one(neg, np.log(abs(neg)), Branch.PRINCIPAL)[0]
-        else:
-            neg = -np.minimum(v, top)
-            out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
-                          Branch.PRINCIPAL)[0]
+    if v.size == 1:
+        neg = np.float64(-min(lo, top))
+        out = -_solve_one(neg, np.log(abs(neg)), Branch.PRINCIPAL)[0]
+    else:
+        neg = -np.minimum(v, top)
+        out = -_solve(neg, np.log(np.abs(neg)), -min(hi, top), -min(lo, top),
+                      Branch.PRINCIPAL)[0]
     return shaped(out, shape)
 
 
+@np.errstate(all="ignore")  # exp overflows to +inf past 709.78
 def w_principal_from_log(log_x):
     """W0(exp(log_x)) without forming exp(log_x), for any log_x below +inf.
 
@@ -309,11 +299,10 @@ def w_principal_from_log(log_x):
     if math.isnan(lo) or hi == math.inf:
         raise DomainError("w_principal_from_log: log_x must not be NaN or +inf; got %r"
                           % (lo if math.isnan(lo) else hi))
-    with np.errstate(all="ignore"):  # exp overflows to +inf past 709.78
-        if v.size == 1:
-            lx = np.float64(lo)
-            out = _solve_one(np.exp(lx), lx, Branch.PRINCIPAL)[0]
-        else:
-            x = np.exp(v)
-            out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
+    if v.size == 1:
+        lx = np.float64(lo)
+        out = _solve_one(np.exp(lx), lx, Branch.PRINCIPAL)[0]
+    else:
+        x = np.exp(v)
+        out = _solve(x, v, *bounds(x), Branch.PRINCIPAL)[0]
     return shaped(out, shape)

@@ -139,16 +139,23 @@ def test_one_point_gives_the_bits_of_the_same_point_in_a_vector(spec):
         except LambertQError as exc:
             assert _outcome(lambda x: call(spec, x), np.array([u])) == (type(exc), str(exc)), u
             continue
-        one = call(spec, np.array([u]))
-        assert same(res.t, one.t) and same(res.roundtrip_residual, one.roundtrip_residual), u
+        # u as a (1,) array, a NumPy scalar and a 0-d array; the residual,
+        # formed on first read, is the public cdf's, to the bit, for each
+        for other in (np.array([u]), np.float64(u), np.array(u)):
+            one = call(spec, other)
+            assert same(res.t, one.t) and same(res.roundtrip_residual, one.roundtrip_residual), u
+            assert np.shape(one.roundtrip_residual) == np.shape(other), u
         assert same(survival(spec, res.t), survival(spec, one.t)), u
-        # the reported residual is the public cdf's, to the bit
         assert same(res.roundtrip_residual, abs(cdf(spec, res.t) - u)), u
         kept.append(u)
         scalar.append(res)
     assert len(kept) >= len(PROBS) - 6, kept
     vec = call(spec, np.array(kept))
     assert same(vec.roundtrip_residual, np.abs(cdf(spec, vec.t) - np.array(kept)))
+    grid = np.array(kept[:6]).reshape(2, 3)
+    two = call(spec, grid)
+    assert two.roundtrip_residual.shape == (2, 3)
+    assert same(two.roundtrip_residual, np.abs(cdf(spec, two.t) - grid))
     sf = survival(spec, vec.t)
     for i, res in enumerate(scalar):
         assert same(res.t, vec.t[i]), (kept[i], res.t, vec.t[i])

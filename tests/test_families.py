@@ -1,9 +1,11 @@
 """Tests for the distribution registry: validation, SF/CDF evaluation,
 analytic quantiles, support handling, and the tilted-Weibull hazard."""
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -20,6 +22,8 @@ from lambertq import (
     NoAnalyticFormError,
     ParamError,
     QuantilePath,
+    QuantileResult,
+    WEvaluation,
     cdf,
     family_ids,
     family_info,
@@ -35,9 +39,11 @@ from lambertq import (
     survival,
     tree_t,
     validate,
+    w_principal,
     w_series,
     wl_hazard,
 )
+from lambertq import families
 from lambertq.families import _check_u_open, _w0
 
 NUMERIC_ONLY = {"additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3"}
@@ -449,6 +455,89 @@ def test_empty_and_zero_dimensional_inputs():
         assert type(fn(0.5)) is float and type(fn(np.array(0.5))) is float
         out = fn(np.array([0.5]))
         assert isinstance(out, np.ndarray) and out.shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the roundtrip residual, formed on its first read
+
+_ROUTES = [
+    (quantile, "weibull2", dict(a=1.0, b=2.0)),
+    (quantile, "lai_weibull3", dict(a=1.0, b=1.0, c=1.0)),
+    (numeric_quantile, "xie_lai3", dict(a=1.0, b=2.0, c=1.0)),
+]
+_ROUTE_IDS = ["elementary", "lambertw", "numeric"]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).ravel().view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("call,family,params", _ROUTES, ids=_ROUTE_IDS)
+def test_residual_reads_h_once_on_its_first_read_and_never_again(monkeypatch, call, family,
+                                                                 params):
+    spec = validate(family, **params)
+    call(spec, 0.3)  # the numeric route's ladder, read before H is counted
+    fam = family_info(family)
+    calls = []
+
+    def counting_hazard(t, p):
+        calls.append(np.size(t))
+        return fam.hazard(t, p)
+
+    monkeypatch.setitem(families._FAMILIES, family, dataclasses.replace(fam, hazard=counting_hazard))
+    for u in (0.3, np.array([0.1, 0.5, 0.9])):
+        calls.clear()
+        res = call(spec, u)
+        solve = list(calls)  # the analytic route reads none
+        assert (solve == []) == (call is quantile), solve
+        first = res.roundtrip_residual
+        assert calls == solve + [np.size(u)], calls
+        assert res.roundtrip_residual is first
+        assert calls == solve + [np.size(u)], calls
+
+
+@pytest.mark.parametrize("call,family,params", _ROUTES, ids=_ROUTE_IDS)
+def test_residual_reads_u_and_t_as_they_were_at_the_call(call, family, params):
+    # the caller may change their u array, or the result's t array, before the
+    # residual's first read
+    spec = validate(family, **params)
+    for u in (np.array(0.3), np.array([0.3]), np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])):
+        want = call(spec, u.copy()).roundtrip_residual
+        res = call(spec, u)
+        u[...] = 0.5
+        if isinstance(res.t, np.ndarray):
+            res.t[...] = 1.0
+        assert _bits(res.roundtrip_residual) == _bits(want), u.shape
+
+
+def _unread(call, family, params):
+    if call is w_principal:
+        return lambda: w_principal(0.5)
+    spec = validate(family, **params)
+    return lambda: call(spec, 0.3)
+
+
+def _eager(out):
+    # the same result built by the dataclass's own constructor, every field given
+    if isinstance(out, WEvaluation):
+        return WEvaluation(out.value, out.residual, out.iterations)
+    return QuantileResult(out.t, out.path, out.roundtrip_residual)
+
+
+@pytest.mark.parametrize("call,family,params", _ROUTES + [(w_principal, None, None)],
+                         ids=_ROUTE_IDS + ["w_principal"])
+def test_a_pending_result_compares_copies_and_pickles_as_its_eager_twin(call, family, params):
+    fresh = _unread(call, family, params)
+    eager = _eager(fresh())
+    assert fresh() == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    assert dataclasses.replace(fresh()) == eager
+    assert dataclasses.asdict(fresh()) == dataclasses.asdict(eager)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        twin = clone(fresh())
+        assert vars(twin) == vars(eager)  # the value travels, not the recipe
+        assert twin == eager
 
 
 def test_mod_lognormal_nan_gives_nan_without_raising():

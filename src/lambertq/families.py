@@ -131,14 +131,23 @@ def _log1mexp(x):
     return np.where(x > _MINUS_LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
-def _past_overflow(h, t, form):
-    """h with form(t) written where h is not finite; a NaN or inf in h means
-    a product overflowed (or met 0 * inf) where H may still be finite.  The
-    ``bounds`` test lets an all-finite h, and so every in-range bit, pass."""
-    if not bounds(h)[1] < _INF:  # a NaN fails too
-        over = ~(h < _INF)
-        h[over] = form(t[over])
-    return h
+def _seam(out, where, form, *args):
+    """out with form(*(a[where] for a in args)) written where the mask holds,
+    the one switch of a formula to another form on part of a block.  A mask
+    with no points costs one ``any``, and every point outside it keeps its bits."""
+    if where.any():
+        out[where] = form(*(a[where] for a in args))
+    return out
+
+
+def _past_overflow(h, form, *args):
+    """The seam past an overflow: h with form(*args) written where h is not
+    finite; a NaN or inf in h means a product overflowed (or met 0 * inf) where
+    H may still be finite.  The ``bounds`` test lets an all-finite h, and so
+    every in-range bit, pass."""
+    if bounds(h)[1] < _INF:  # a NaN fails
+        return h
+    return _seam(h, ~(h < _INF), form, *args)
 
 
 # --------------------------------------------------------------------------
@@ -410,12 +419,11 @@ def _h_gen_weibull(t, p):
     # is formed from t - hi, which is exact there (Sterbenz)
     b, c = p["b"], p["c"]
     x = p["a"] * c * t ** b
-    h = -np.log1p(-x) / c
-    near = x > 0.5
-    if near.any():
+
+    def near(t):
         hi = _gen_weibull_hi(p)
-        h[near] = -np.log(-np.expm1(b * np.log1p((t[near] - hi) / hi))) / c
-    return h
+        return -np.log(-np.expm1(b * np.log1p((t - hi) / hi))) / c
+    return _seam(-np.log1p(-x) / c, x > 0.5, near, t)
 
 
 def _q_gen_weibull(u, p):
@@ -425,11 +433,8 @@ def _q_gen_weibull(u, p):
     b, c = p["b"], p["c"]
     log_s = c * np.log1p(-u)
     num = -np.expm1(log_s)
-    t = (num / (p["a"] * c)) ** (1.0 / b)
-    near = num > 0.5
-    if near.any():
-        t[near] = _gen_weibull_hi(p) * np.exp(np.log1p(-np.exp(log_s[near])) / b)
-    return t
+    return _seam((num / (p["a"] * c)) ** (1.0 / b), num > 0.5,
+                 lambda log_s: _gen_weibull_hi(p) * np.exp(np.log1p(-np.exp(log_s)) / b), log_s)
 
 
 def _gen_weibull_hi(p):
@@ -466,8 +471,8 @@ def _h_ext_weibull(t, p):
     # H = ln(1 + (e^x - 1)/a): no cancellation for any a.  (e^x - 1)/a
     # overflows from x = 709.8 + ln a on; there H = x - ln a + ln(1 + (a-1) e^-x)
     a, x = p["a"], (p["b"] * t) ** p["c"]
-    return _past_overflow(np.log1p(np.expm1(x) / a), x,
-                          lambda x: x - math.log(a) + np.log1p((a - 1.0) * np.exp(-x)))
+    return _past_overflow(np.log1p(np.expm1(x) / a),
+                          lambda x: x - math.log(a) + np.log1p((a - 1.0) * np.exp(-x)), x)
 
 
 def _q_ext_weibull(u, p):
@@ -523,22 +528,16 @@ _register(Family(
 def _h_odd_weibull(t, p):
     # SF = 1 / (1 + (exp(x) - 1)^c), x = a t^b.  Where (e^x - 1)^c overflows,
     # H = c ln(e^x - 1) = c (x + ln(1 - e^-x)) to double precision
-    x = p["a"] * t ** p["b"]
-    h = np.log1p(np.expm1(x) ** p["c"])
-    over = h == _INF
-    if over.any():
-        h[over] = p["c"] * (x[over] + np.log1p(-np.exp(-x[over])))
-    return h
+    c, x = p["c"], p["a"] * t ** p["b"]
+    return _past_overflow(np.log1p(np.expm1(x) ** c), lambda x: c * (x + np.log1p(-np.exp(-x))), x)
 
 
 def _q_odd_weibull(u, p):
     # ln(1 + r^(1/c)), r = u/(1-u).  Where r^(1/c) overflows, the 1 lies below
     # its last bit, and the log is taken in logs: (ln u - ln(1-u))/c
     c = p["c"]
-    inner = np.log1p((u / (1.0 - u)) ** (1.0 / c))
-    over = inner == _INF
-    if over.any():
-        inner[over] = (np.log(u[over]) - np.log1p(-u[over])) / c
+    inner = _past_overflow(np.log1p((u / (1.0 - u)) ** (1.0 / c)),
+                           lambda u: (np.log(u) - np.log1p(-u)) / c, u)
     return (inner / p["a"]) ** (1.0 / p["b"])
 
 
@@ -596,11 +595,11 @@ def _ekw5_deep(x, log_1mz, shift):
     cut = _LOG_TINY + max(shift, 0.0)  # x < cut: e^x or e^lam is subnormal
     if not bounds(x)[0] < cut:
         return log_1mz
-    deep = x < cut
-    x = x[deep]
-    lam = np.where(x < _LOG_EPS, x, np.log(-_log1mexp(x))) - shift
-    log_1mz[deep] = np.where(lam < _LOG_EPS, lam, _log1mexp(-np.exp(lam)))
-    return log_1mz
+
+    def deep(x):
+        lam = np.where(x < _LOG_EPS, x, np.log(-_log1mexp(x))) - shift
+        return np.where(lam < _LOG_EPS, lam, _log1mexp(-np.exp(lam)))
+    return _seam(log_1mz, x < cut, deep, x)
 
 
 def _h_exp_kum_weibull5(t, p):
@@ -858,8 +857,8 @@ def _h_lomax_like(t, p, d):
     # (a t)^b e^(c t) overflows once c t > 709.78, while H is still moderate:
     # there H = d ln(1 + e^(b ln(a t) + c t))
     a, b, c = p["a"], p["b"], p["c"]
-    return _past_overflow(d * np.log1p((a * t) ** b * np.exp(c * t)), t,
-                          lambda t: d * np.logaddexp(0.0, b * np.log(a * t) + c * t))
+    return _past_overflow(d * np.log1p((a * t) ** b * np.exp(c * t)),
+                          lambda t: d * np.logaddexp(0.0, b * np.log(a * t) + c * t), t)
 
 
 def _q_lomax_like(u, p, d):
@@ -885,8 +884,8 @@ def _h_gompertz_makeham(t, p):
     # (b/c) expm1(c t) overflows once c t > 709.78, even where b/c is tiny and
     # H small; there the term is e^(ln b - ln c + c t) - b/c
     a, b, c = p["a"], p["b"], p["c"]
-    return _past_overflow(a * t + (b / c) * np.expm1(c * t), t,
-                          lambda t: a * t + (np.exp(math.log(b) - math.log(c) + c * t) - b / c))
+    return _past_overflow(a * t + (b / c) * np.expm1(c * t),
+                          lambda t: a * t + (np.exp(math.log(b) - math.log(c) + c * t) - b / c), t)
 
 
 def _gm_log_arg(l_u, p):
@@ -909,18 +908,13 @@ def _q_gompertz_makeham(u, p):
     log_arg = _gm_log_arg(l_u, p)
     over = ~np.isfinite(log_arg)
     w = w_principal_from_log(np.where(over, 0.0, log_arg))
-    t = np.log((a / b) * w) / c
-    big = t == _INF
-    if big.any():
-        t[big] = (np.log(w[big]) + math.log(a / b)) / c
-    if over.any():
-        t[over] = np.logaddexp(0.0, math.log(c) - math.log(b) + np.log(l_u[over])) / c
-    small = c * t < 1e-4
-    if small.any():
-        l_s = l_u[small]
-        t0 = l_s / (a + b)
-        t[small] = t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_s) / (a + b * np.exp(c * t0))
-    return t
+    t = _past_overflow(np.log((a / b) * w) / c, lambda w: (np.log(w) + math.log(a / b)) / c, w)
+    t = _seam(t, over, lambda v: np.logaddexp(0.0, math.log(c) - math.log(b) + np.log(v)) / c, l_u)
+
+    def newton(l_u):
+        t0 = l_u / (a + b)
+        return t0 - (a * t0 + (b / c) * np.expm1(c * t0) - l_u) / (a + b * np.exp(c * t0))
+    return _seam(t, c * t < 1e-4, newton, l_u)
 
 
 def gm_subtractive_quantile(spec, u):
@@ -966,8 +960,8 @@ def _h_mod_pareto4(t, p):
     # as _h_lomax_like: past the overflow of e^(c tau), H = d ln(1 + e^(ln(a tau)/b + c tau))
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
     tau = t - p["mu"]
-    return _past_overflow(d * np.log1p((a * tau) ** (1.0 / b) * np.exp(c * tau)), tau,
-                          lambda tau: d * np.logaddexp(0.0, np.log(a * tau) / b + c * tau))
+    return _past_overflow(d * np.log1p((a * tau) ** (1.0 / b) * np.exp(c * tau)),
+                          lambda tau: d * np.logaddexp(0.0, np.log(a * tau) / b + c * tau), tau)
 
 
 def _q_mod_pareto4(u, p):
@@ -1022,14 +1016,7 @@ def _q_mod_lognormal(u, p):
 def _q_mod_lognormal_printed(u, p):
     # catalogued form relies on a normal "CDF" integrated from 0 rather than
     # -inf; its inverse only exists for u < 1/2 (as Phi^-1(u + 1/2))
-    a, b, c = p["a"], p["b"], p["c"]
-    out = np.full(np.shape(u), np.nan)
-    mask = u < 0.5
-    if mask.any():
-        z = std_normal_quantile(u[mask] + 0.5)
-        log_arg = math.log(c / (a * b)) + (p["mu"] * z + p["d"]) / b
-        out[mask] = (b / c) * w_principal_from_log(log_arg)
-    return out
+    return _seam(np.full(np.shape(u), np.nan), u < 0.5, lambda u: _q_mod_lognormal(u + 0.5, p), u)
 
 
 _register(Family(
@@ -1137,10 +1124,7 @@ def _hazard(spec, t):
     out = np.full(t.shape, np.nan)
     out[t < lo] = 0.0
     out[t >= hi] = _INF
-    inside = (t >= lo) & (t < hi)
-    if inside.any():
-        out[inside] = fam.hazard(t[inside], spec.params)
-    return out
+    return _seam(out, (t >= lo) & (t < hi), lambda t: fam.hazard(t, spec.params), t)
 
 
 def _sf(h):

@@ -32,6 +32,16 @@ residuals |F(Q(u)) - u| stay near machine precision across the u range,
 including the tails where F or SF would round to 0 or 1, and a Lambert W
 argument that is negative or NaN raises DomainError (the principal branch
 is single-valued only on [0, inf)).
+
+Where a formula, a quantile or H, switches to another form on part of a block
+(past an overflow, near a finite endpoint, in a deep tail, at a small
+argument), it does so through one door, ``_seam``: the other form is computed
+on the points of the mask alone and written there, and every other point
+keeps its bits.  ``_past_overflow`` is its case for a product that is inf or
+NaN (0 * inf), and ``_power_exp`` the power-exponential term k x^b e^y of five
+hazards, which takes it in logs there.  So H is a number or +inf, never NaN,
+for every family but ``nadarajah_kotz`` and ``phani5``, whose hazards still
+form 0 * inf where one power underflows while another factor overflows.
 """
 
 import math
@@ -119,7 +129,8 @@ def _L(u):
 
 _MINUS_LN2 = -math.log(2.0)
 _LOG_EPS = -53.0 * math.log(2.0)  # ln 2^-53: below it, 1 - e^x rounds to 1
-_LOG_TINY = -1022.0 * math.log(2.0)  # ln of the smallest normal double
+_TINY = 2.0 ** -1022  # the smallest normal double
+_LOG_TINY = -1022.0 * math.log(2.0)  # its ln
 
 
 def _log1mexp(x):
@@ -134,8 +145,9 @@ def _log1mexp(x):
 def _seam(out, where, form, *args):
     """out with form(*(a[where] for a in args)) written where the mask holds,
     the one switch of a formula to another form on part of a block.  A mask
-    with no points costs one ``any``, and every point outside it keeps its bits."""
-    if where.any():
+    with no points costs one ``any`` (one ``item`` on one point, a twentieth of
+    its cost), and every point outside it keeps its bits."""
+    if where.item() if where.size == 1 else where.any():
         out[where] = form(*(a[where] for a in args))
     return out
 
@@ -148,6 +160,14 @@ def _past_overflow(h, form, *args):
     if bounds(h)[1] < _INF:  # a NaN fails
         return h
     return _seam(h, ~(h < _INF), form, *args)
+
+
+def _power_exp(k, x, b, y):
+    """k x^b e^y, the power-exponential term of five hazards, in that order of
+    operations.  Where x^b underflows while e^y overflows (0 * inf = NaN), or
+    the product overflows, it is taken in logs: exp(ln k + b ln x + y)."""
+    return _past_overflow(k * x ** b * np.exp(y),
+                          lambda x, y: np.exp(math.log(k) + b * np.log(x) + y), x, y)
 
 
 # --------------------------------------------------------------------------
@@ -416,13 +436,15 @@ _register(Family(
 
 def _h_gen_weibull(t, p):
     # SF = (1 - x)^(1/c) with x = a c t^b = (t/hi)^b.  Once x passes 1/2, 1 - x
-    # is formed from t - hi, which is exact there (Sterbenz)
+    # is formed from ln(t/hi): from t - hi where t >= hi/2, which is exact there
+    # (Sterbenz), and as ln t - ln hi below that, where t - hi may round to -hi
     b, c = p["b"], p["c"]
     x = p["a"] * c * t ** b
 
     def near(t):
         hi = _gen_weibull_hi(p)
-        return -np.log(-np.expm1(b * np.log1p((t - hi) / hi))) / c
+        log_r = _seam(np.log1p((t - hi) / hi), t < 0.5 * hi, lambda t: np.log(t) - math.log(hi), t)
+        return -np.log(-np.expm1(b * log_r)) / c
     return _seam(-np.log1p(-x) / c, x > 0.5, near, t)
 
 
@@ -526,10 +548,12 @@ _register(Family(
 
 
 def _h_odd_weibull(t, p):
-    # SF = 1 / (1 + (exp(x) - 1)^c), x = a t^b.  Where (e^x - 1)^c overflows,
-    # H = c ln(e^x - 1) = c (x + ln(1 - e^-x)) to double precision
+    # SF = 1 / (1 + (exp(x) - 1)^c), x = a t^b.  Where e^x - 1 or its c-th power
+    # overflows, H = ln(1 + e^y) with y = c ln(e^x - 1) = c (x + ln(1 - e^-x)):
+    # for a small c, y is small though e^x - 1 is past the largest double
     c, x = p["c"], p["a"] * t ** p["b"]
-    return _past_overflow(np.log1p(np.expm1(x) ** c), lambda x: c * (x + np.log1p(-np.exp(-x))), x)
+    return _past_overflow(np.log1p(np.expm1(x) ** c),
+                          lambda x: np.logaddexp(0.0, c * (x + np.log1p(-np.exp(-x)))), x)
 
 
 def _q_odd_weibull(u, p):
@@ -654,7 +678,7 @@ def _w0(arg):
 
 
 def _h_lai_weibull3(t, p):
-    return p["a"] * t ** p["b"] * np.exp(p["c"] * t)
+    return _power_exp(p["a"], t, p["b"], p["c"] * t)
 
 
 def _q_lai_weibull3(u, p):
@@ -677,7 +701,7 @@ _register(Family(
 
 def _h_inv_mod_weibull(t, p):
     # SF = 1 - exp(-(a/t)^b e^(c/t))
-    return -_log1mexp(-((p["a"] / t) ** p["b"]) * np.exp(p["c"] / t))
+    return -_log1mexp(-_power_exp(1.0, p["a"] / t, p["b"], p["c"] / t))
 
 
 def _q_inv_mod_weibull(u, p):
@@ -720,7 +744,7 @@ _register(Family(
 
 def _h_gen_mod_weibull(t, p):
     # SF = 1 - inner^d with inner = 1 - exp(-a t^c e^(b t))
-    return -_log1mexp(p["d"] * _log1mexp(-p["a"] * t ** p["c"] * np.exp(p["b"] * t)))
+    return -_log1mexp(p["d"] * _log1mexp(-_power_exp(p["a"], t, p["c"], p["b"] * t)))
 
 
 def _q_gen_mod_weibull(u, p):
@@ -744,7 +768,7 @@ _register(Family(
 
 def _h_shifted_mod_weibull(t, p):
     tau = t - p["d"]
-    return (p["a"] * tau) ** p["b"] * np.exp(p["c"] * tau)
+    return _power_exp(1.0, p["a"] * tau, p["b"], p["c"] * tau)
 
 
 def _q_shifted_mod_weibull(u, p):
@@ -807,7 +831,7 @@ _register(Family(
 
 def _h_kum_mod_weibull(t, p):
     # SF = inner^b, inner = 1 - (1-e)^a, e = exp(-c t^d e^(mu t))
-    log_1me = _log1mexp(-p["c"] * t ** p["d"] * np.exp(p["mu"] * t))
+    log_1me = _log1mexp(-_power_exp(p["c"], t, p["d"], p["mu"] * t))
     return -p["b"] * _log1mexp(p["a"] * log_1me)
 
 
@@ -882,9 +906,11 @@ _register(Family(
 
 def _h_gompertz_makeham(t, p):
     # (b/c) expm1(c t) overflows once c t > 709.78, even where b/c is tiny and
-    # H small; there the term is e^(ln b - ln c + c t) - b/c
+    # H small; there the term is e^(ln b - ln c + c t) - b/c.  Where b/c is not
+    # a normal double it has lost digits, and the term is b (expm1(c t)/c)
     a, b, c = p["a"], p["b"], p["c"]
-    return _past_overflow(a * t + (b / c) * np.expm1(c * t),
+    term = (b / c) * np.expm1(c * t) if b / c >= _TINY else b * (np.expm1(c * t) / c)
+    return _past_overflow(a * t + term,
                           lambda t: a * t + (np.exp(math.log(b) - math.log(c) + c * t) - b / c), t)
 
 

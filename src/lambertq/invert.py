@@ -101,6 +101,19 @@ def _rung(lo, j):
     return np.copysign(np.exp2((np.abs(s) - 0.5) / _PER_OCTAVE), s)
 
 
+def _rungs(lo, hi):
+    """t on every rung of the ladder over [lo, hi), from the rung that stands
+    for lo (or -2^1000) to one past hi (or 2^1000 doublings above lo)."""
+    if math.isfinite(lo):
+        top = (math.log2(hi - lo) if math.isfinite(hi)
+               else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
+        # one rung past top, as lo + 2^top can round below a finite hi
+        count = math.ceil((top - _Y_FLOOR) * _PER_OCTAVE) + 2
+    else:
+        count = 2 * _MAX_DOUBLINGS * _PER_OCTAVE + 2
+    return _to_t(lo)(_rung(lo, np.arange(count)))
+
+
 def _key(spec):
     """The ladder's cache key: the family, the parameter names, and the exact
     bits of the parameters and the support ends, packed as doubles, so 0.0
@@ -120,15 +133,8 @@ def _ladder(family, names, bits):
     ladder is 33 186 doubles (265 KB), 34.0 MB for 128.
     """
     *values, lo, hi = struct.unpack("%dd" % (len(names) + 2), bits)
-    if math.isfinite(lo):
-        top = (math.log2(hi - lo) if math.isfinite(hi)
-               else math.log2(max(1.0, abs(lo))) + _MAX_DOUBLINGS)
-        # one rung past top, as lo + 2^top can round below a finite hi
-        count = math.ceil((top - _Y_FLOOR) * _PER_OCTAVE) + 2
-    else:
-        count = 2 * _MAX_DOUBLINGS * _PER_OCTAVE + 2
     spec = DistributionSpec(family, dict(zip(names, values)), (lo, hi))
-    at = _hazards(spec, _to_t(lo)(_rung(lo, np.arange(count))))[0]
+    at = _hazards(spec, _rungs(lo, hi))[0]
     at[0] = -np.inf  # the lowest rung stands for lo, where F = 0, or for -2^1000
     np.maximum.accumulate(at, out=at)
     at.flags.writeable = False

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambertq import ParamError, family_ids, family_info, validate
+from lambertq import ParamError, families, family_ids, family_info, invert, validate
 from lambertq.families import Bound, Cross
 
 DECADES = st.floats(-8.0, 8.0)
@@ -107,3 +107,49 @@ def test_readme_family_table_states_each_box():
         assert stated == ", ".join(
             "%s %s %s" % (r.param, r.kind[:-1], r.kind[-1]) if isinstance(r, Bound) else r.text
             for r in family_info(family).rules), family
+
+
+# FOUND: the hazards of these two families read NaN where a power underflows
+# to 0 while another factor overflows (0 * inf); in-box sets where they do
+_NAN_HAZARD = {
+    "nadarajah_kotz": dict(a=0.17192595598455432, b=308.45603655488037, c=59365.00160673064,
+                           d=1.0),
+    "phani5": dict(a=1.7699402583053872e-144, b=17.701277220332983, c=0.0003719049432789274,
+                   d=50679.03273199326, e=4923222.976496468),
+}
+# in-box sets whose H once read NaN or dropped on the rungs, kept as examples
+_RUNG_EXAMPLES = {
+    **_NAN_HAZARD,
+    "gen_weibull": dict(a=7.803473219652836, b=0.015779071711450654, c=1.195016355342264),
+    "lai_weibull3": dict(a=101502.50671177823, b=101502.50671177823, c=101502.50671177823),
+    "inv_mod_weibull": dict(a=8.762360698807577e-05, b=5656.332209588623, c=6.1219652440271135),
+    "gen_mod_weibull": dict(a=1.0000230261160268, b=153439.0746428058, c=153439.0746428058, d=1.0),
+    "shifted_mod_weibull": dict(a=0.17192595598455432, b=308.45603655488037, c=59365.00160673064,
+                                d=1.0),
+    "kum_mod_weibull": dict(a=79.43282347242814, b=0.008219366238985693, c=1.3198343915355595,
+                            d=6498051.022029966, mu=13517.236595306551),
+}
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(f, marks=pytest.mark.xfail(strict=True, reason="FOUND: NaN hazard"))
+    if f in _NAN_HAZARD else f for f in family_ids()])
+def test_hazard_on_the_ladder_rungs_is_a_nondecreasing_nonnegative_number(family):
+    # ROADMAP item 8's second property, which needs no oracle: on every rung of
+    # the numeric inverter's ladder, H is not NaN, not below 0 and never drops
+    fam = family_info(family)
+
+    def body(p):
+        try:
+            spec = validate(family, **p)
+        except ParamError:
+            return
+        with np.errstate(all="ignore"):
+            h = families._hazard(spec, invert._rungs(*spec.support))
+        assert not np.isnan(h).any() and h.min() >= 0.0, p
+        assert np.all(h[1:] >= h[:-1]), (p, np.flatnonzero(h[1:] < h[:-1])[:5])
+
+    check = given(box(fam))(body)
+    if family in _RUNG_EXAMPLES:
+        check = example(_RUNG_EXAMPLES[family])(check)
+    settings(derandomize=True, database=None, max_examples=40, deadline=None)(check)()

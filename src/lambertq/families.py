@@ -39,7 +39,8 @@ argument), it does so through one door, ``_seam``: the other form is computed
 on the points of the mask alone and written there, and every other point
 keeps its bits.  ``_past_overflow`` is its case for a product that is inf or
 NaN (0 * inf), and ``_power_exp`` the power-exponential term k x^b e^y of five
-hazards, which takes it in logs there.  So H is a number or +inf, never NaN,
+hazards, which takes it in logs there and where a subnormal x^b has lost its
+digits.  So H is a number or +inf, never NaN,
 for every family but ``nadarajah_kotz`` and ``phani5``, whose hazards still
 form 0 * inf where one power underflows while another factor overflows.
 """
@@ -164,10 +165,16 @@ def _past_overflow(h, form, *args):
 
 def _power_exp(k, x, b, y):
     """k x^b e^y, the power-exponential term of five hazards, in that order of
-    operations.  Where x^b underflows while e^y overflows (0 * inf = NaN), or
-    the product overflows, it is taken in logs: exp(ln k + b ln x + y)."""
-    return _past_overflow(k * x ** b * np.exp(y),
-                          lambda x, y: np.exp(math.log(k) + b * np.log(x) + y), x, y)
+    operations.  Where the product overflows, or x^b underflows while e^y
+    overflows (0 * inf = NaN), or x^b is subnormal or 0 while k e^y lifts the
+    product (its few digits, or none, scaled up), it is taken in logs:
+    exp(ln k + b ln x + y).  The ``bounds`` tests let every in-range bit pass."""
+    xb, ey = x ** b, np.exp(y)
+    h = k * xb * ey
+    if bounds(h)[1] < _INF and bounds(xb)[0] >= _TINY:  # a NaN fails
+        return h
+    return _seam(h, ~(h < _INF) | (xb < _TINY) & (k * ey > 1.0),
+                 lambda x, y: np.exp(math.log(k) + b * np.log(x) + y), x, y)
 
 
 # --------------------------------------------------------------------------

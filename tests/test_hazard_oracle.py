@@ -205,6 +205,17 @@ _SEAMS = [
     ("inv_mod_weibull", _POWER_EXP["inv_mod_weibull"], np.linspace(5.6e-4, 6e-4, 41)),
     # (a/t)^2 stays a normal double on the side where e^(c/t) does not overflow
     ("inv_mod_weibull", dict(a=1.4e-155, b=2.0, c=1.0), np.linspace(1.38e-3, 1.5e-3, 41)),
+    # (a/t)^2 is subnormal (13 bits at t = 1/700), then 0, while e^(c/t) lifts
+    # the product: the in-range form read H(1/700) = 36.82527 (mpmath 36.82523),
+    # then inf where the mpmath H is 207.93
+    ("inv_mod_weibull", dict(a=1.43e-163, b=2.0, c=1.0), np.linspace(1 / 720, 1 / 600, 41)),
+    ("inv_mod_weibull", dict(a=1e-200, b=2.0, c=1.0), np.linspace(1 / 720, 1 / 600, 41)),
+    # t^300 is subnormal below t = 0.0941, where k e^y lifts the term to about
+    # 1e-30 (the in-range form read 0), and e^(7000 t) overflows from 0.1014 on
+    ("lai_weibull3", dict(a=1e300, b=300.0, c=1.0), np.linspace(0.08, 0.11, 31)),
+    ("gen_mod_weibull", dict(a=1e300, b=1.0, c=300.0, d=1.0), np.linspace(0.08, 0.11, 31)),
+    ("shifted_mod_weibull", dict(a=1.0, b=300.0, c=7000.0, d=0.0), np.linspace(0.08, 0.11, 31)),
+    ("kum_mod_weibull", dict(a=1.0, b=1.0, c=1e300, d=300.0, mu=1.0), np.linspace(0.08, 0.11, 31)),
     ("gen_mod_weibull", _POWER_EXP["gen_mod_weibull"],
      np.append(np.geomspace(1e-3, 0.56, 20), np.linspace(0.564, 0.5696, 30))),
     ("shifted_mod_weibull", _POWER_EXP["shifted_mod_weibull"], 1.0 + np.geomspace(1e-4, 0.03, 60)),
@@ -315,9 +326,3 @@ def test_power_exponential_term_is_not_nan_where_its_power_underflows(family):
     assert analytic.roundtrip_residual <= 1e-12 and numeric.roundtrip_residual <= 1e-12
     assert numeric.t == pytest.approx(analytic.t, rel=1e-12, abs=0.0)
 
-
-@pytest.mark.xfail(strict=True, reason="FOUND: k x^b e^y keeps the few digits of a subnormal x^b")
-def test_power_exponential_term_where_its_power_is_subnormal():
-    # (a/t)^2 = 1e-320 keeps 13 bits, and e^(c/t) = e^700 lifts the product to
-    # 1e-16 uncorrected: H = 36.82527 where the mpmath H is 36.82523
-    _assert_door_matches_oracle("inv_mod_weibull", dict(a=1.43e-163, b=2.0, c=1.0), [1 / 700])

@@ -40,9 +40,9 @@ on the points of the mask alone and written there, and every other point
 keeps its bits.  ``_past_overflow`` is its case for a product that is inf or
 NaN (0 * inf), and ``_power_exp`` the power-exponential term k x^b e^y of five
 hazards, which takes it in logs there and where a subnormal x^b has lost its
-digits.  So H is a number or +inf, never NaN,
-for every family but ``nadarajah_kotz`` and ``phani5``, whose hazards still
-form 0 * inf where one power underflows while another factor overflows.
+digits.  So H is a number or +inf, never NaN, for every family but
+``nadarajah_kotz`` and ``phani5``, whose hazards still form 0 * inf or
+inf / inf where one power underflows or overflows while another overflows.
 """
 
 import math

@@ -43,6 +43,11 @@ hazards, which takes it in logs there and where a subnormal x^b has lost its
 digits.  So H is a number or +inf, never NaN, for every family but
 ``nadarajah_kotz`` and ``phani5``, whose hazards still form 0 * inf or
 inf / inf where one power underflows or overflows while another overflows.
+
+``_power_exp``'s inverse, ``_power_exp_root``, is the one Lambert W root of
+eight quantiles: the s >= 0 with (k s)^b e^(c s) = g.  Each of those families
+gives only g, k, b, c and its map from s to t; ``mod_pareto4`` is the
+Lomax-like family at (a, 1/b, c, d), shifted by mu.
 """
 
 import math
@@ -175,6 +180,18 @@ def _power_exp(k, x, b, y):
         return h
     return _seam(h, ~(h < _INF) | (xb < _TINY) & (k * ey > 1.0),
                  lambda x, y: np.exp(math.log(k) + b * np.log(x) + y), x, y)
+
+
+def _power_exp_root(g, k, b, c):
+    """The s >= 0 with (k s)^b e^(c s) = g, the root of the quantile equation
+    of eight Lambert-W families: s = (b/c) W0((c/(k b)) g^(1/b)), in that order
+    of operations (Corless et al., "On the Lambert W function", 1996).  A W
+    argument that is negative or NaN raises DomainError: the principal branch
+    is single-valued only on [0, inf)."""
+    arg = (c / (k * b)) * g ** (1.0 / b)
+    if not bounds(arg)[0] >= 0.0:  # a NaN fails too
+        raise DomainError("lambert argument must be nonnegative and not NaN")
+    return (b / c) * w_principal(arg).value
 
 
 # --------------------------------------------------------------------------
@@ -678,20 +695,12 @@ _register(Family(
 # --------------------------------------------------------------------------
 # Lambert-W families
 
-def _w0(arg):
-    if not bounds(arg)[0] >= 0.0:  # a NaN fails too
-        raise DomainError("lambert argument must be nonnegative and not NaN")
-    return w_principal(arg).value
-
-
 def _h_lai_weibull3(t, p):
     return _power_exp(p["a"], t, p["b"], p["c"] * t)
 
 
 def _q_lai_weibull3(u, p):
-    b, c = p["b"], p["c"]
-    arg = (c / b) * (_L(u) / p["a"]) ** (1.0 / b)
-    return (b / c) * _w0(arg)
+    return _power_exp_root(_L(u) / p["a"], 1.0, p["b"], p["c"])
 
 
 _register(Family(
@@ -712,9 +721,7 @@ def _h_inv_mod_weibull(t, p):
 
 
 def _q_inv_mod_weibull(u, p):
-    b, c = p["b"], p["c"]
-    arg = (c / (p["a"] * b)) * (-np.log(u)) ** (1.0 / b)
-    return (c / b) / _w0(arg)
+    return 1.0 / _power_exp_root(-np.log(u), p["a"], p["b"], p["c"])
 
 
 _register(Family(
@@ -755,10 +762,8 @@ def _h_gen_mod_weibull(t, p):
 
 
 def _q_gen_mod_weibull(u, p):
-    b, c = p["b"], p["c"]
     base = -_log1mexp(np.log(u) / p["d"])         # -ln(1 - u^(1/d))
-    arg = (b / c) * (base / p["a"]) ** (1.0 / c)
-    return (c / b) * _w0(arg)
+    return _power_exp_root(base / p["a"], 1.0, p["c"], p["b"])
 
 
 _register(Family(
@@ -779,9 +784,7 @@ def _h_shifted_mod_weibull(t, p):
 
 
 def _q_shifted_mod_weibull(u, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    arg = (c / (a * b)) * _L(u) ** (1.0 / b)
-    return p["d"] + (b / c) * _w0(arg)
+    return p["d"] + _power_exp_root(_L(u), p["a"], p["b"], p["c"])
 
 
 _register(Family(
@@ -843,12 +846,9 @@ def _h_kum_mod_weibull(t, p):
 
 
 def _q_kum_mod_weibull(u, p):
-    d, mu = p["d"], p["mu"]
     log_r1 = _log1mexp(np.log1p(-u) / p["b"])      # ln(1 - (1-u)^(1/b))
     log_r2 = _log1mexp(log_r1 / p["a"])            # ln(1 - r1^(1/a))
-    base = (-log_r2 / p["c"]) ** (1.0 / d)
-    arg = (mu / d) * base
-    return (d / mu) * _w0(arg)
+    return _power_exp_root(-log_r2 / p["c"], 1.0, p["d"], p["mu"])
 
 
 _register(Family(
@@ -884,20 +884,16 @@ _register(Family(
 ))
 
 
-def _h_lomax_like(t, p, d):
-    # (a t)^b e^(c t) overflows once c t > 709.78, while H is still moderate:
-    # there H = d ln(1 + e^(b ln(a t) + c t))
-    a, b, c = p["a"], p["b"], p["c"]
+def _h_lomax_like(t, a, b, c, d):
+    # SF = (1 + (a t)^b e^(c t))^(-d).  (a t)^b e^(c t) overflows once c t >
+    # 709.78, while H is still moderate: there H = d ln(1 + e^(b ln(a t) + c t))
     return _past_overflow(d * np.log1p((a * t) ** b * np.exp(c * t)),
                           lambda t: d * np.logaddexp(0.0, b * np.log(a * t) + c * t), t)
 
 
-def _q_lomax_like(u, p, d):
-    # (a t)^b e^(c t) = (1-u)^(-1/d) - 1 = g  =>  t = (b/c) W((c/(a b)) g^(1/b))
-    a, b, c = p["a"], p["b"], p["c"]
-    g = np.expm1(-np.log1p(-u) / d)
-    arg = (c / (a * b)) * g ** (1.0 / b)
-    return (b / c) * _w0(arg)
+def _q_lomax_like(u, a, b, c, d):
+    # (a t)^b e^(c t) = (1-u)^(-1/d) - 1
+    return _power_exp_root(np.expm1(_L(u) / d), a, b, c)
 
 
 _register(Family(
@@ -906,8 +902,8 @@ _register(Family(
     params=("a", "b", "c"),
     rules=_positive("a", "b", "c"),
     support_desc="[0, inf)",
-    hazard=lambda t, p: _h_lomax_like(t, p, 1.0),
-    quantile=lambda u, p: _q_lomax_like(u, p, 1.0),
+    hazard=lambda t, p: _h_lomax_like(t, p["a"], p["b"], p["c"], 1.0),
+    quantile=lambda u, p: _q_lomax_like(u, p["a"], p["b"], p["c"], 1.0),
 ))
 
 
@@ -984,32 +980,16 @@ _register(Family(
     params=("a", "b", "c", "d"),
     rules=_positive("a", "b", "c", "d"),
     support_desc="[0, inf)",
-    hazard=lambda t, p: _h_lomax_like(t, p, p["d"]),
-    quantile=lambda u, p: _q_lomax_like(u, p, p["d"]),
+    hazard=lambda t, p: _h_lomax_like(t, p["a"], p["b"], p["c"], p["d"]),
+    quantile=lambda u, p: _q_lomax_like(u, p["a"], p["b"], p["c"], p["d"]),
 ))
-
-
-def _h_mod_pareto4(t, p):
-    # as _h_lomax_like: past the overflow of e^(c tau), H = d ln(1 + e^(ln(a tau)/b + c tau))
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    tau = t - p["mu"]
-    return _past_overflow(d * np.log1p((a * tau) ** (1.0 / b) * np.exp(c * tau)),
-                          lambda tau: d * np.logaddexp(0.0, np.log(a * tau) / b + c * tau), tau)
-
-
-def _q_mod_pareto4(u, p):
-    # (a tau)^(1/b) e^(c tau) = g  =>  b c tau e^(b c tau) = (b c / a) g^b
-    a, b, c = p["a"], p["b"], p["c"]
-    g = np.expm1(-np.log1p(-u) / p["d"])
-    arg = (b * c / a) * g ** b
-    return p["mu"] + _w0(arg) / (b * c)
 
 
 def _q_mod_pareto4_printed(u, p):
     # catalogued form omits the b*c/a factor inside W
     b, c = p["b"], p["c"]
     g = np.expm1(-np.log1p(-u) / p["d"])
-    return p["mu"] + _w0(g ** b) / (c * b)
+    return p["mu"] + w_principal(g ** b).value / (c * b)
 
 
 _register(Family(
@@ -1019,8 +999,10 @@ _register(Family(
     rules=_positive("a", "b", "c", "d") + (Bound("mu", ">=0"),),
     support=lambda p: (p["mu"], _INF),
     support_desc="[mu, inf)",
-    hazard=_h_mod_pareto4,
-    quantile=_q_mod_pareto4,
+    # SF = (1 + (a tau)^(1/b) e^(c tau))^(-d), tau = t - mu: the Lomax-like
+    # family at (a, 1/b, c, d), shifted by mu
+    hazard=lambda t, p: _h_lomax_like(t - p["mu"], p["a"], 1.0 / p["b"], p["c"], p["d"]),
+    quantile=lambda u, p: p["mu"] + _q_lomax_like(u, p["a"], 1.0 / p["b"], p["c"], p["d"]),
     printed_quantile=_q_mod_pareto4_printed,
     note=(
         "printed W argument is g^b alone; inverting the survival function "

@@ -44,7 +44,7 @@ from lambertq import (
     wl_hazard,
 )
 from lambertq import families
-from lambertq.families import _check_u_open, _w0
+from lambertq.families import _check_u_open, _power_exp_root
 
 NUMERIC_ONLY = {"additive_weibull", "nadarajah_kotz", "phani5", "xie_lai3"}
 
@@ -960,7 +960,7 @@ def test_mod_lognormal_upper_tail_survival_is_relative_accurate(t):
 @pytest.mark.parametrize("arg", [math.nan, -0.1, -1e-300])
 def test_lambert_argument_must_be_nonnegative(arg):
     with pytest.raises(DomainError):
-        _w0(np.array([0.5, arg]))
+        _power_exp_root(np.array([0.5, arg]), 1.0, 1.0, 1.0)
 
 
 def test_lambert_argument_check_survives_optimize_flag():
@@ -968,9 +968,9 @@ def test_lambert_argument_check_survives_optimize_flag():
     code = (
         "import numpy as np\n"
         "from lambertq import DomainError\n"
-        "from lambertq.families import _w0\n"
+        "from lambertq.families import _power_exp_root\n"
         "try:\n"
-        "    _w0(np.array([-0.1]))\n"
+        "    _power_exp_root(np.array([-0.1]), 1.0, 1.0, 1.0)\n"
         "except DomainError:\n"
         "    print('DomainError')\n"
     )

@@ -253,7 +253,7 @@ _HAZARD_SEAMS = {
     "_h_ext_weibull": 1, "_h_odd_weibull": 1, "_h_exp_kum_weibull5": 1,
     "_h_lai_weibull3": 1, "_h_inv_mod_weibull": 1, "_h_gen_mod_weibull": 1,
     "_h_shifted_mod_weibull": 1, "_h_kum_mod_weibull": 1,
-    "_h_lomax_like": 1, "_h_gompertz_makeham": 1, "_h_mod_pareto4": 1,
+    "_h_lomax_like": 1, "_h_gompertz_makeham": 1,
 }
 
 

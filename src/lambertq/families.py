@@ -716,8 +716,15 @@ _register(Family(
 
 
 def _h_inv_mod_weibull(t, p):
-    # SF = 1 - exp(-(a/t)^b e^(c/t))
-    return -_log1mexp(-_power_exp(1.0, p["a"] / t, p["b"], p["c"] / t))
+    # SF = 1 - exp(-z), z = (a/t)^b e^(c/t).  Where z is not a normal double it
+    # has lost digits, or all of them (H = inf), though H = -ln(1 - e^-z) is
+    # -ln z to the last bit there: -(b ln(a/t) + c/t)
+    a, b, c = p["a"], p["b"], p["c"]
+    z = _power_exp(1.0, a / t, b, c / t)
+    h = -_log1mexp(-z)
+    if bounds(z)[0] >= _TINY:  # a NaN fails
+        return h
+    return _seam(h, z < _TINY, lambda t: -(b * np.log(a / t) + c / t), t)
 
 
 def _q_inv_mod_weibull(u, p):

@@ -203,6 +203,10 @@ _SEAMS = [
     ("lai_weibull3", _POWER_EXP["lai_weibull3"],
      np.append(np.geomspace(1e-3, 0.56, 20), np.linspace(0.564, 0.5696, 30))),
     ("inv_mod_weibull", _POWER_EXP["inv_mod_weibull"], np.linspace(5.6e-4, 6e-4, 41)),
+    # z = (a/t)^b e^(c/t) leaves the normal range from t = 6.01e-4 on, where
+    # H = -ln(1 - e^-z) is -ln z, a moderate number
+    ("inv_mod_weibull", _POWER_EXP["inv_mod_weibull"],
+     np.append(np.linspace(5.9e-4, 6.2e-4, 16), np.geomspace(6.8e-4, 1.0, 30))),
     # (a/t)^2 stays a normal double on the side where e^(c/t) does not overflow
     ("inv_mod_weibull", dict(a=1.4e-155, b=2.0, c=1.0), np.linspace(1.38e-3, 1.5e-3, 41)),
     # (a/t)^2 is subnormal (13 bits at t = 1/700), then 0, while e^(c/t) lifts
@@ -251,7 +255,7 @@ _HAZARD_SEAMS = {
     "_hazard": 1,  # the door: the formula inside [lo, hi) only
     "_h_gen_weibull": 2,  # x > 1/2, and t < hi/2 inside it
     "_h_ext_weibull": 1, "_h_odd_weibull": 1, "_h_exp_kum_weibull5": 1,
-    "_h_lai_weibull3": 1, "_h_inv_mod_weibull": 1, "_h_gen_mod_weibull": 1,
+    "_h_lai_weibull3": 1, "_h_inv_mod_weibull": 2, "_h_gen_mod_weibull": 1,
     "_h_shifted_mod_weibull": 1, "_h_kum_mod_weibull": 1,
     "_h_lomax_like": 1, "_h_gompertz_makeham": 1,
 }
@@ -281,6 +285,16 @@ def test_every_seam_of_a_hazard_is_met_on_both_sides(monkeypatch):
     for name, _ in met:
         counts[name] = counts.get(name, 0) + 1
     assert not one_sided and counts == _HAZARD_SEAMS, (one_sided, counts)
+
+
+def test_inv_mod_weibull_hazard_where_its_term_underflows():
+    # z = (a/t)^b e^(c/t) is 0 in doubles at t = 0.01, where H = -ln z
+    spec = validate("inv_mod_weibull", **_POWER_EXP["inv_mod_weibull"])
+    exact, _ = _oracle("inv_mod_weibull", _POWER_EXP["inv_mod_weibull"], 0.01)
+    with np.errstate(divide="ignore"):  # the in-range form takes ln 0 first
+        h = families._hazard(spec, np.array([0.01])).item()
+    assert float(exact) == pytest.approx(26183.4890599, rel=1e-11, abs=0.0)
+    assert h == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_gen_weibull_with_a_small_b_far_below_its_endpoint():

@@ -14,7 +14,7 @@ import numpy as np
 
 import lambertq
 import lambertq.cli  # noqa: F401  (cli_targets wraps its attributes)
-from lambertq import WEvaluation, families, invert, sampling, validate
+from lambertq import WEvaluation, families, invert, reference_specs, sampling, validate
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -81,7 +81,8 @@ def test_sample_of_a_numeric_set_goes_through_invert_cdf(monkeypatch):
 
 
 def test_sample_of_a_w0_set_calls_w_principal_once_per_block(monkeypatch):
-    # the tracer's W note reads np.sum(out.iterations) and np.max(out.residual)
+    # the tracer's W note reads np.sum(out.iterations) and np.max(out.residual);
+    # the families are those whose quantile is ``families._power_exp_root``
     seen = []
     w_principal = families.w_principal
 
@@ -92,12 +93,15 @@ def test_sample_of_a_w0_set_calls_w_principal_once_per_block(monkeypatch):
 
     monkeypatch.setattr(families, "w_principal", recording)
     n = 2 * sampling._BLOCK + 17
-    lambertq.sample(validate("lai_weibull3", a=1.0, b=1.0, c=1.0), n, seed=1)
-    assert len(seen) == 3 and sum(shape[0] for shape, _ in seen) == n
-    for shape, out in seen:
-        assert len(shape) == 1 and shape[0] <= sampling._BLOCK
-        assert isinstance(out, WEvaluation)
-        assert out.iterations.shape == out.residual.shape == shape
+    for family in ("lai_weibull3", "inv_mod_weibull", "gen_mod_weibull", "shifted_mod_weibull",
+                   "kum_mod_weibull", "mod_log_logistic", "mod_power_lomax", "mod_pareto4"):
+        seen.clear()
+        lambertq.sample(reference_specs(family)[0], n, seed=1)
+        assert len(seen) == 3 and sum(shape[0] for shape, _ in seen) == n, family
+        for shape, out in seen:
+            assert len(shape) == 1 and shape[0] <= sampling._BLOCK
+            assert isinstance(out, WEvaluation)
+            assert out.iterations.shape == out.residual.shape == shape
 
 
 def test_sample_of_gompertz_makeham_goes_through_w_principal_from_log(monkeypatch):
